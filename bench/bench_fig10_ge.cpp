@@ -54,7 +54,7 @@ double time_parallel(const Matrix<double>& init, index_t base, int threads,
   Matrix<double> a = init;
   const index_t n = a.rows();
   WorkStealingPool pool(threads);
-  WsParInvoker inv{&pool};
+  WsInvoker inv{&pool};
   RowMajorStore<double> st{a.data(), n, base};
   WallTimer t;
   igep_lu(inv, st, n, {base});
@@ -78,7 +78,7 @@ double time_ooc(const Matrix<double>& init, index_t base,
   cache.reset_stats();
   WallTimer t;
   try {
-    ooc_igep_lu(m);
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = false});
   } catch (const obs::JobCancelled&) {
     // SIGINT/SIGTERM mid-leg: flush write-behind so the backing file is
     // consistent, leave a flight dump, and exit with the SIGINT code.

@@ -9,21 +9,60 @@
 //   (a) the schedule-simulated speedup (greedy list scheduling of the
 //       real fork-join DAG with flop-count costs) for p = 1..8 — the
 //       machine-independent reproduction of the figure's shape; and
-//   (b) measured wall time of the real pthreads execution for 1..8
-//       threads (meaningful only up to the core count, printed for
-//       completeness).
+//   (b) measured wall time of the real Fig. 6 fork-join execution (the
+//       typed recursion on a work-stealing pool) for 1..8 threads
+//       (meaningful only up to the core count, printed for
+//       completeness); and
+//   (c) the library's multithreaded path, the dependency-driven DAG
+//       runtime, against that fork-join execution.
 #include "bench_common.hpp"
 
 #include <functional>
 #include <thread>
 
 #include "apps/apps.hpp"
+#include "gep/typed.hpp"
 #include "parallel/dag_sim.hpp"
+#include "parallel/work_stealing.hpp"
 
 namespace {
 
 using namespace gep;
 using apps::Engine;
+
+// The Fig. 6 fork-join recursion: the typed drivers through WsInvoker on
+// a fresh work-stealing pool of `threads` (pool start-up inside the
+// timing, as an app entry point would pay it).
+double fj_fw(Matrix<double>& d, index_t base, int threads) {
+  WallTimer t;
+  WorkStealingPool pool(threads);
+  WsInvoker inv{&pool};
+  RowMajorStore<double> st{d.data(), d.rows(), base};
+  igep_floyd_warshall(inv, st, d.rows(), {base});
+  return t.seconds();
+}
+
+double fj_lu(Matrix<double>& a, index_t base, int threads) {
+  WallTimer t;
+  WorkStealingPool pool(threads);
+  WsInvoker inv{&pool};
+  RowMajorStore<double> st{a.data(), a.rows(), base};
+  igep_lu(inv, st, a.rows(), {base});
+  return t.seconds();
+}
+
+double fj_mm(Matrix<double>& c, const Matrix<double>& a,
+             const Matrix<double>& b, index_t base, int threads) {
+  WallTimer t;
+  WorkStealingPool pool(threads);
+  WsInvoker inv{&pool};
+  const index_t n = c.rows();
+  RowMajorStore<double> cst{c.data(), n, base};
+  RowMajorStore<const double> ast{a.data(), n, base};
+  RowMajorStore<const double> bst{b.data(), n, base};
+  igep_matmul(inv, cst, ast, bst, n, {base});
+  return t.seconds();
+}
 
 }  // namespace
 
@@ -69,8 +108,8 @@ int main() {
   // (b) real pthreads execution on this host.
   const index_t n_real = small ? 256 : 1024;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("(b) real fork-join execution, n = %lld (host has %u core(s); "
-              "speedups saturate there):\n",
+  std::printf("(b) real fork-join execution (work-stealing pool), n = %lld "
+              "(host has %u core(s); speedups saturate there):\n",
               static_cast<long long>(n_real), cores);
   Matrix<double> fw_init = bench::random_dist_matrix(n_real, 1);
   Matrix<double> lu_init = bench::random_dd_matrix(n_real, 2);
@@ -79,21 +118,15 @@ int main() {
 
   auto time_fw = [&](int threads) {
     Matrix<double> d = fw_init;
-    WallTimer t;
-    apps::floyd_warshall(d, Engine::IGep, {base, threads});
-    return t.seconds();
+    return fj_fw(d, base, threads);
   };
   auto time_lu = [&](int threads) {
     Matrix<double> m = lu_init;
-    WallTimer t;
-    apps::lu_decompose(m, Engine::IGep, {base, threads});
-    return t.seconds();
+    return fj_lu(m, base, threads);
   };
   auto time_mm = [&](int threads) {
     Matrix<double> c(n_real, n_real, 0.0);
-    WallTimer t;
-    apps::multiply_add(c, a, b, Engine::IGep, {base, threads});
-    return t.seconds();
+    return fj_mm(c, a, b, base, threads);
   };
 
   const double fl_mm = bench::flops_mm(n_real);
@@ -132,8 +165,9 @@ int main() {
   real.print(std::cout);
   real.write_csv("fig12_real_speedup.csv");
 
-  // (c) dependency-driven DAG runtime vs the fork-join invoker, at equal
-  // REQUESTED thread count. The DAG drops the recursion's join barriers
+  // (c) dependency-driven DAG runtime (the app entry points' multithreaded
+  // path) vs the fork-join recursion of (b), at equal REQUESTED thread
+  // count. The DAG drops the recursion's join barriers
   // (tasks release the moment their block dependencies retire,
   // dispatched by critical-path priority) and, as part of its resource
   // policy, clamps its worker set to the host's concurrency — a
@@ -159,18 +193,19 @@ int main() {
   Matrix<double> b_dag = bench::random_matrix(n_dag, 8);
   Table dag_tbl(
       {"problem", "forkjoin (s)", "dag (s)", "dag speedup vs forkjoin"});
+  // run(dag, out) times one pass: the app entry point (DAG runtime) when
+  // dag, else the fork-join recursion.
   auto dag_leg = [&](const char* kind, double fl, double updates_one_pass,
-                     const std::function<double(apps::Runtime,
-                                                Matrix<double>&)>& run) {
+                     const std::function<double(bool, Matrix<double>&)>& run) {
     Matrix<double> out_fj, out_dag;
     // Live /progress over the whole leg (2 runtimes x reps passes); the
     // stat server was armed by the banner when $GEP_STAT_PORT is set.
     obs::ProgressMeter meter;
     meter.begin(2.0 * reps * updates_one_pass, 2.0 * reps * fl);
     obs::ScopedStatProgress stat_progress(meter, kind);
-    double t_fj = run(apps::Runtime::ForkJoin, out_fj);
+    double t_fj = run(false, out_fj);
     for (int r = 1; r < reps; ++r) {
-      t_fj = std::min(t_fj, run(apps::Runtime::ForkJoin, out_fj));
+      t_fj = std::min(t_fj, run(false, out_fj));
     }
     bench::BenchRun r_fj;
     r_fj.label = std::string(kind) + " forkjoin";
@@ -180,9 +215,9 @@ int main() {
     r_fj.pct_peak = peak > 0 ? 100.0 * r_fj.gflops / peak : 0.0;
     r_fj.extra = {{"threads", static_cast<double>(p_dag)}};
     report.add(std::move(r_fj));
-    double t_dag = run(apps::Runtime::Dag, out_dag);
+    double t_dag = run(true, out_dag);
     for (int r = 1; r < reps; ++r) {
-      t_dag = std::min(t_dag, run(apps::Runtime::Dag, out_dag));
+      t_dag = std::min(t_dag, run(true, out_dag));
     }
     bench::BenchRun r_dag;
     r_dag.label = std::string(kind) + " dag";
@@ -210,28 +245,31 @@ int main() {
   };
   dag_leg("FW", bench::flops_fw(n_dag),
           obs::typed_cube_updates(static_cast<double>(n_dag)),
-          [&](apps::Runtime rt, Matrix<double>& out) {
+          [&](bool dag, Matrix<double>& out) {
             out = fw_dag_init;
+            if (!dag) return fj_fw(out, base, p_dag);
             WallTimer t;
-            apps::floyd_warshall(out, Engine::IGep, {base, p_dag, rt});
+            apps::floyd_warshall(out, Engine::IGep, {base, p_dag});
             return t.seconds();
           });
   dag_leg("LU", bench::flops_lu(n_dag),
           obs::typed_lu_updates(static_cast<double>(n_dag),
                                 static_cast<double>(base)),
-          [&](apps::Runtime rt, Matrix<double>& out) {
+          [&](bool dag, Matrix<double>& out) {
             out = lu_dag_init;
+            if (!dag) return fj_lu(out, base, p_dag);
             WallTimer t;
-            apps::lu_decompose(out, Engine::IGep, {base, p_dag, rt});
+            apps::lu_decompose(out, Engine::IGep, {base, p_dag});
             return t.seconds();
           });
   dag_leg("MM", bench::flops_mm(n_dag),
           obs::typed_cube_updates(static_cast<double>(n_dag)),
-          [&](apps::Runtime rt, Matrix<double>& out) {
+          [&](bool dag, Matrix<double>& out) {
             out = Matrix<double>(n_dag, n_dag, 0.0);
+            if (!dag) return fj_mm(out, a_dag, b_dag, base, p_dag);
             WallTimer t;
             apps::multiply_add(out, a_dag, b_dag, Engine::IGep,
-                               {base, p_dag, rt});
+                               {base, p_dag});
             return t.seconds();
           });
   dag_tbl.print(std::cout);

@@ -199,12 +199,12 @@ int main(int argc, char** argv) {
     tc.print(std::cout);
     tc.write_csv("fig7_layout_ablation.csv");
   }
-  // --- typed engine: sequential vs parallel vs parallel+prefetch --------
-  // The block-granular typed engine (pinned tiles, raw-pointer kernels)
-  // on the work-stealing pool, with and without recursion-driven prefetch
-  // through the cache's async I/O worker. Same (n, M, B) across legs; all
-  // legs must produce identical results (invoke() barriers keep stages'
-  // X tiles disjoint).
+  // --- typed engine: sequential vs DAG runtime + prefetch ---------------
+  // The block-granular typed engine (pinned tiles, raw-pointer kernels):
+  // sequential without prefetch, then on the DAG runtime's work-stealing
+  // pool with lookahead prefetch through the cache's async I/O worker.
+  // Same (n, M, B) across legs; all legs must produce identical results
+  // (the DAG orders each block's updates as the sequential run does).
   {
     bench::BenchReport report(fault_rate > 0 ? "fig7_outofcore_faults"
                               : ckpt_on      ? "fig7_outofcore_ckpt"
@@ -238,11 +238,11 @@ int main(int argc, char** argv) {
     // Realize 1% of the modeled disk latency as actual sleep so there is
     // wall-clock latency for the async worker to hide (page faults on
     // NVMe-backed temp files are otherwise near-instant and the overlap
-    // would be unmeasurable). Identical for all three legs.
+    // would be unmeasurable). Identical for every leg.
     DiskModel disk;
     disk.realize_fraction = 0.01;
-    auto leg = [&](const char* label, bool parallel, bool prefetch,
-                   bool dag = false) {
+    auto leg = [&](const char* label, bool dag) {
+      const bool prefetch = dag;
       PageCache cache(M, B, disk, robust);
       OocTiledMatrix<double> m(cache, n, n);
       m.load(init);
@@ -284,15 +284,9 @@ int main(int argc, char** argv) {
             // prefetch stream (lookahead tasks -> page hints).
             WorkStealingPool pool(threads);
             ooc_igep_floyd_warshall_dag(
-                m, &pool,
-                {.lookahead = dag_lookahead_from_env(),
-                 .prefetch = prefetch});
-          } else if (parallel) {
-            WorkStealingPool pool(threads);
-            WsParInvoker inv{&pool};
-            ooc_igep_floyd_warshall(m, inv, {.prefetch = prefetch});
+                m, &pool, {.lookahead = dag_lookahead_from_env()});
           } else {
-            ooc_igep_floyd_warshall(m);
+            ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
           }
           io_pass = cache.stats().io() - io0;
         });
@@ -315,7 +309,7 @@ int main(int argc, char** argv) {
       report.annotate("page_ios", static_cast<double>(s.io()));
       report.annotate("prefetch_hits", static_cast<double>(s.prefetch_hits));
       report.annotate("prefetch_hit_rate", s.prefetch_hit_rate());
-      report.annotate("threads", parallel || dag ? threads : 1);
+      report.annotate("threads", dag ? threads : 1);
       if (dag) {
         report.annotate("dag_lookahead",
                         static_cast<double>(dag_lookahead_from_env()));
@@ -358,10 +352,8 @@ int main(int argc, char** argv) {
       }
       return dt;
     };
-    t_sync = leg("typed sync seq", false, false);
-    leg("typed parallel", true, false);
-    leg("typed parallel+prefetch", true, true);
-    leg("typed dag+prefetch", true, true, /*dag=*/true);
+    t_sync = leg("typed sync seq", /*dag=*/false);
+    leg("typed dag+prefetch", /*dag=*/true);
     // --- checkpointed leg (--ckpt-every / --ckpt-interval) --------------
     // Same job as "typed sync seq" with crash-consistent snapshots cut by
     // the requested triggers; SIGTERM/SIGINT checkpoints before exiting
@@ -436,10 +428,8 @@ int main(int argc, char** argv) {
             make_coordinator();
           }
           resumed = false;
-          SeqInvoker inv;
-          OocTypedOptions o;
-          o.ckpt = ck.get();
-          ooc_igep_floyd_warshall(m, inv, o);
+          ooc_igep_floyd_warshall_dag(
+              m, nullptr, {.prefetch = false, .ckpt = ck.get()});
         });
       } catch (const obs::JobCancelled&) {
         // Checkpoint-then-exit: flush write-behind, cut a final snapshot
@@ -518,7 +508,7 @@ int main(int argc, char** argv) {
       try {
         report.timed("typed sync seq", n2, bench::flops_fw(n2), [&] {
           const std::uint64_t io0 = cache.stats().io();
-          ooc_igep_floyd_warshall(m);
+          ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
           io_pass = cache.stats().io() - io0;
         });
       } catch (const obs::JobCancelled&) {

@@ -1,9 +1,10 @@
 // Multithreaded I-GEP matrix multiplication (paper Section 3 / Fig. 6).
 //
-// Multiplies two n x n matrices with the fork-join D-recursion at
-// several thread counts, validating every run against the sequential
-// result, and prints the schedule-simulated speedup the same DAG would
-// achieve on an 8-processor machine like the paper's Opteron 850.
+// Multiplies two n x n matrices with the D-recursion at several thread
+// counts (the DAG runtime above one thread), validating every run
+// against the sequential result, and prints the schedule-simulated
+// speedup the fork-join DAG would achieve on an 8-processor machine like
+// the paper's Opteron 850.
 #include <cstdio>
 #include <thread>
 

@@ -12,8 +12,9 @@
 //
 // Inputs of arbitrary n are padded to the next power of two with
 // Σ-neutral values for the recursive engines and unpadded on return.
-// opts.threads > 1 runs the multithreaded I-GEP of Fig. 6 (IGep/IGepZ
-// engines only; other engines are sequential by construction).
+// opts.threads > 1 runs the IGep/IGepZ engines on the dependency-driven
+// DAG runtime (parallel/task_graph.hpp), bit-identical to the sequential
+// run; other engines are sequential by construction.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +30,9 @@ enum class Engine { Iterative, IGep, IGepZ, CGep, CGepCompact, Blocked };
 
 std::string engine_name(Engine e);
 
-// Scheduler for the IGep/IGepZ engines. ForkJoin is the strict Fig. 6
-// invoker; Dag the dependency-driven block-task runtime
-// (parallel/task_graph.hpp) — bit-identical results, fewer barriers.
-// Auto resolves $GEP_DAG_RUNTIME (=1 forces Dag, =0 ForkJoin, unset
-// ForkJoin), so a whole test/bench process can be pinned from the
-// environment. Engines other than IGep/IGepZ ignore the field; so do
-// the drivers without a DAG mirror yet (fw_paths, gap alignment).
-enum class Runtime { Auto, ForkJoin, Dag };
-
 struct RunOptions {
   index_t base_size = 64;
   int threads = 1;
-  Runtime runtime = Runtime::Auto;
   // Leaf-GEMM tuning (Strassen levels / crossover) for the engines that
   // route D-kind leaves through the packed GEMM (IGep/IGepZ with large
   // base_size, Blocked). Defaults inherit $GEP_STRASSEN_LEVELS /

@@ -7,7 +7,6 @@
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 
@@ -70,18 +69,14 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
       with_fw_padding(d, [&](Matrix<double>& m) {
         RowMajorStore<double> st{m.data(), m.rows(),
                                  std::min(opts.base_size, m.rows())};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_dag(pool, st, m.rows(), {opts.base_size});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
-        } else {
-          SeqInvoker inv;
-          igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_floyd_warshall_dag(pool, st, m.rows(), {opts.base_size});
+            });
       });
       return;
     case Engine::IGepZ:
@@ -90,18 +85,14 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);  // conversion cost included, as in the paper
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_floyd_warshall(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_floyd_warshall(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_floyd_warshall(inv, st, m.rows(), {bs});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
+            });
         z.store(m);
       });
       return;

@@ -7,7 +7,6 @@
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -55,20 +54,6 @@ void with_identity_padding(Matrix<double>& a, Fn&& fn) {
   a = unpad(p, n, n);
 }
 
-template <class TypedRun>
-void run_typed(Matrix<double>& m, const RunOptions& opts, TypedRun&& run) {
-  RowMajorStore<double> st{m.data(), m.rows(),
-                           std::min(opts.base_size, m.rows())};
-  if (opts.threads > 1) {
-    ThreadPool pool(opts.threads);
-    ParInvoker inv{&pool};
-    run(inv, st);
-  } else {
-    SeqInvoker inv;
-    run(inv, st);
-  }
-}
-
 }  // namespace
 
 void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
@@ -87,17 +72,16 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
     }
     case Engine::IGep:
       with_identity_padding(a, [&](Matrix<double>& m) {
-        if (detail::use_dag(opts)) {
-          RowMajorStore<double> st{m.data(), m.rows(),
-                                   std::min(opts.base_size, m.rows())};
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_gaussian_dag(pool, st, m.rows(), {opts.base_size});
-          });
-          return;
-        }
-        run_typed(m, opts, [&](auto& inv, auto& st) {
-          igep_gaussian(inv, st, m.rows(), {opts.base_size});
-        });
+        RowMajorStore<double> st{m.data(), m.rows(),
+                                 std::min(opts.base_size, m.rows())};
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_gaussian(inv, st, m.rows(), {opts.base_size});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_gaussian_dag(pool, st, m.rows(), {opts.base_size});
+            });
       });
       return;
     case Engine::IGepZ:
@@ -106,18 +90,12 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_gaussian_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_gaussian(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_gaussian(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) { igep_gaussian(inv, st, m.rows(), {bs}); },
+            [&](WorkStealingPool* pool) {
+              igep_gaussian_dag(pool, st, m.rows(), {bs});
+            });
         z.store(m);
       });
       return;
@@ -148,17 +126,16 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
       return;
     case Engine::IGep:
       with_identity_padding(a, [&](Matrix<double>& m) {
-        if (detail::use_dag(opts)) {
-          RowMajorStore<double> st{m.data(), m.rows(),
-                                   std::min(opts.base_size, m.rows())};
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_lu_dag(pool, st, m.rows(), {opts.base_size});
-          });
-          return;
-        }
-        run_typed(m, opts, [&](auto& inv, auto& st) {
-          igep_lu(inv, st, m.rows(), {opts.base_size});
-        });
+        RowMajorStore<double> st{m.data(), m.rows(),
+                                 std::min(opts.base_size, m.rows())};
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_lu(inv, st, m.rows(), {opts.base_size});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_lu_dag(pool, st, m.rows(), {opts.base_size});
+            });
       });
       return;
     case Engine::IGepZ:
@@ -167,14 +144,11 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_lu_dag(pool, st, m.rows(), {bs});
-          });
-        } else {
-          SeqInvoker inv;
-          igep_lu(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts, [&](SeqInvoker& inv) { igep_lu(inv, st, m.rows(), {bs}); },
+            [&](WorkStealingPool* pool) {
+              igep_lu_dag(pool, st, m.rows(), {bs});
+            });
         z.store(m);
       });
       return;

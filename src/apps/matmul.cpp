@@ -9,7 +9,6 @@
 #include "blas/blas.hpp"
 #include "gep/numeric_guard.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace gep::apps {
@@ -57,18 +56,12 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       RowMajorStore<double> cst{c.data(), n, bs};
       RowMajorStore<const double> ast{a.data(), n, bs};
       RowMajorStore<const double> bst{b.data(), n, bs};
-      if (detail::use_dag(opts)) {
-        detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-          igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-        });
-      } else if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      }
+      detail::run_typed(
+          opts,
+          [&](SeqInvoker& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); },
+          [&](WorkStealingPool* pool) {
+            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
+          });
       return;
     }
     case Engine::IGepZ: {
@@ -86,18 +79,12 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       az.load(a);
       bz.load(b);
       ZStore<double> cst{&cz}, ast{&az}, bst{&bz};
-      if (detail::use_dag(opts)) {
-        detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-          igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-        });
-      } else if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      }
+      detail::run_typed(
+          opts,
+          [&](SeqInvoker& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); },
+          [&](WorkStealingPool* pool) {
+            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
+          });
       cz.store(c);
       return;
     }

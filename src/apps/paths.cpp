@@ -9,7 +9,6 @@
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -74,14 +73,14 @@ void floyd_warshall_paths(Matrix<double>& d, Matrix<std::int32_t>& succ,
       const index_t bs = std::min(opts.base_size, np);
       RowMajorStore<double> dst{dp.data(), np, bs};
       RowMajorStore<std::int32_t> sst{sp.data(), np, bs};
-      if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
-      }
+      detail::run_typed(
+          opts,
+          [&](SeqInvoker& inv) {
+            igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
+          },
+          [&](WorkStealingPool* pool) {
+            igep_floyd_warshall_paths_dag(pool, dst, sst, np, {bs});
+          });
       d = unpad(dp, n, n);
       succ = unpad(sp, n, n);
       return;
@@ -138,18 +137,12 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
       with_padding([&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         RowMajorStore<double> st{m.data(), m.rows(), bs};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_bottleneck_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) { igep_bottleneck(inv, st, m.rows(), {bs}); },
+            [&](WorkStealingPool* pool) {
+              igep_bottleneck_dag(pool, st, m.rows(), {bs});
+            });
       });
       return;
     case Engine::IGepZ:
@@ -158,14 +151,12 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_bottleneck_dag(pool, st, m.rows(), {bs});
-          });
-        } else {
-          SeqInvoker inv;
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) { igep_bottleneck(inv, st, m.rows(), {bs}); },
+            [&](WorkStealingPool* pool) {
+              igep_bottleneck_dag(pool, st, m.rows(), {bs});
+            });
         z.store(m);
       });
       return;

@@ -1,51 +1,50 @@
-// Internal: resolves RunOptions::runtime and owns the pool for the
-// DAG-runtime paths of the app entry points. Not installed API.
+// Internal: picks the executor for the IGep/IGepZ paths of the app entry
+// points and owns the DAG runtime's pool. Not installed API.
 #pragma once
 
 #include <algorithm>
 #include <thread>
 
 #include "apps/apps.hpp"
+#include "gep/typed.hpp"
 #include "obs/stat_server.hpp"
 #include "parallel/task_graph.hpp"
 
 namespace gep::apps::detail {
 
-inline bool use_dag(const RunOptions& opts) {
-  switch (opts.runtime) {
-    case Runtime::ForkJoin: return false;
-    case Runtime::Dag: return true;
-    case Runtime::Auto: break;
-  }
-  return runtime_from_env() == RuntimeKind::Dag;
-}
-
 // Worker count for the DAG runtime: the request clamped to the host's
 // concurrency. A dependency-driven runtime keeps every worker busy (no
 // join barriers parking threads), so running more workers than cores
 // only interleaves their working sets in the shared cache and adds
-// context-switch thrash — unlike fork-join, oversubscription can never
-// help it. Compute tasks never block, so there is no latency to hide.
+// context-switch thrash. Compute tasks never block, so there is no
+// latency to hide.
 inline int dag_workers(const RunOptions& opts) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   return std::min(opts.threads, static_cast<int>(hw));
 }
 
-// Runs fn(pool) with a work-stealing pool sized by dag_workers(), or
-// fn(nullptr) for the single-threaded case (run_task_graph then
-// executes in emission order on the calling thread).
-template <class Fn>
-void with_dag_pool(const RunOptions& opts, Fn&& fn) {
-  // DAG-runtime drivers are long-running entry points: arm the embedded
+// Runs one typed I-GEP job: seq(inv) with a SeqInvoker for one thread;
+// otherwise dag(pool) on the DAG runtime, with a work-stealing pool sized
+// by dag_workers(), or dag(nullptr) when that leaves a single worker
+// (run_task_graph then executes in emission order on the calling
+// thread). Both are bit-identical.
+template <class Seq, class Dag>
+void run_typed(const RunOptions& opts, Seq&& seq, Dag&& dag) {
+  if (opts.threads <= 1) {
+    SeqInvoker inv;
+    seq(inv);
+    return;
+  }
+  // Multithreaded jobs are long-running entry points: arm the embedded
   // stat server when $GEP_STAT_PORT asks for it (no-op otherwise or when
   // a bench banner already started it; inert stub at GEP_OBS=0).
   obs::StatServer::start_from_env();
   const int workers = dag_workers(opts);
   if (workers > 1) {
     WorkStealingPool pool(workers);
-    fn(&pool);
+    dag(&pool);
   } else {
-    fn(static_cast<WorkStealingPool*>(nullptr));
+    dag(static_cast<WorkStealingPool*>(nullptr));
   }
 }
 

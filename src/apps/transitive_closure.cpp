@@ -6,7 +6,6 @@
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -54,19 +53,15 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
       with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
         RowMajorStore<std::uint8_t> st{m.data(), m.rows(),
                                        std::min(opts.base_size, m.rows())};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_transitive_closure_dag(pool, st, m.rows(),
-                                        {opts.base_size});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
-        } else {
-          SeqInvoker inv;
-          igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_transitive_closure_dag(pool, st, m.rows(),
+                                          {opts.base_size});
+            });
       });
       return;
     case Engine::IGepZ:
@@ -75,14 +70,14 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
         ZBlocked<std::uint8_t> z(m.rows(), bs);
         z.load(m);
         ZStore<std::uint8_t> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_transitive_closure_dag(pool, st, m.rows(), {bs});
-          });
-        } else {
-          SeqInvoker inv;
-          igep_transitive_closure(inv, st, m.rows(), {bs});
-        }
+        detail::run_typed(
+            opts,
+            [&](SeqInvoker& inv) {
+              igep_transitive_closure(inv, st, m.rows(), {bs});
+            },
+            [&](WorkStealingPool* pool) {
+              igep_transitive_closure_dag(pool, st, m.rows(), {bs});
+            });
         z.store(m);
       });
       return;

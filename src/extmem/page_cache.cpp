@@ -414,12 +414,14 @@ void PageCache::prefetch(int file_id, std::uint64_t page) {
 
 void PageCache::note_worker_failure() {
   ++worker_failures_;
-  if (worker_failures_ >= kWorkerDegradeThreshold &&
-      !degraded_.load(std::memory_order_relaxed)) {
-    degraded_.store(true, std::memory_order_release);
-    page_cache_obs().async_degraded.inc();
-    page_cache_obs().degraded.set(1.0);
-  }
+  if (worker_failures_ >= kWorkerDegradeThreshold) degrade();
+}
+
+void PageCache::degrade() {
+  if (degraded_.load(std::memory_order_relaxed)) return;
+  degraded_.store(true, std::memory_order_release);
+  page_cache_obs().async_degraded.inc();
+  page_cache_obs().degraded.set(1.0);
 }
 
 void PageCache::io_worker_loop() {
@@ -459,8 +461,15 @@ void PageCache::io_worker_loop() {
       continue;
     }
     // Idle: flush one about-to-be-evicted dirty frame so the next fault
-    // finds it clean (write-back overlapped with compute).
-    const std::size_t f = write_behind_candidate();
+    // finds it clean (write-back overlapped with compute). Not once
+    // degraded: against a failing store the worker would pick the same
+    // dirty frame again and again, holding its io_busy flag from one
+    // failed attempt to the next, so a foreground thread waiting on that
+    // frame would never get it. The page stays dirty for the foreground
+    // eviction or flush(), which surface the error.
+    const std::size_t f = degraded_.load(std::memory_order_acquire)
+                              ? kNoFrame
+                              : write_behind_candidate();
     if (f != kNoFrame) {
       Frame& fr = frames_[f];
       fr.io_busy = true;
@@ -471,20 +480,30 @@ void PageCache::io_worker_loop() {
       char* buf = pool_.get() + f * page_bytes_;
       lock.unlock();
       bool wrote = true;
+      bool transient = false;
       try {
         file->write_page(page, buf);
+      } catch (const IoError& e) {
+        wrote = false;
+        transient = e.transient();
       } catch (...) {
         wrote = false;
       }
       if (!wrote) {
         // The frame stays dirty; a later eviction or flush() retries the
-        // write-back on the foreground path and reports it there.
+        // write-back on the foreground path and reports it there. A
+        // non-transient failure (dead store, hard write error) will not
+        // heal on retry: stop write-behind at once.
         lock.lock();
         fr.io_busy = false;
         --io_in_flight_;
         writeback_failures_.fetch_add(1, std::memory_order_relaxed);
         page_cache_obs().writeback_failures.inc();
-        note_worker_failure();
+        if (transient) {
+          note_worker_failure();
+        } else {
+          degrade();
+        }
         io_cv_.notify_all();
         continue;
       }

@@ -184,8 +184,9 @@ class PageCache {
   bool async_io_enabled() const;
 
   // True once the worker has hit kWorkerDegradeThreshold consecutive
-  // I/O failures and fallen back to synchronous-only operation (every
-  // later prefetch is counted dropped). enable_async_io() after a
+  // I/O failures, or one non-transient write-behind failure, and fallen
+  // back to synchronous-only operation (every later prefetch is counted
+  // dropped, and write-behind stops). enable_async_io() after a
   // disable_async_io() clears the flag.
   bool async_degraded() const {
     return degraded_.load(std::memory_order_acquire);
@@ -308,6 +309,7 @@ class PageCache {
 
   void io_worker_loop();
   void note_worker_failure();  // mu_ held; may set degraded_
+  void degrade();              // mu_ held; sets degraded_
   void touch_lru(std::size_t frame);
   StatShard& stat_cell();
   static void add_double(std::atomic<double>& a, double d);

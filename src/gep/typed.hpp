@@ -11,10 +11,12 @@
 // fork-join invoker it is the multithreaded I-GEP of Fig. 6 with span
 // O(n log² n) (Theorem 3.1).
 //
-// The engine is generic over an Invoker (sequential here; the
-// work-stealing one lives in parallel/), a TileStore (row-major or
-// Z-Morton; layout/zblocked.hpp) and a Problem supplying the pruning
-// rule and the leaf kernel. Leaves are base-size tiles dispatched to the
+// The engine is generic over an Invoker (sequential here; WsInvoker in
+// parallel/work_stealing.hpp runs it on a work-stealing pool), a
+// TileStore (row-major or Z-Morton; layout/zblocked.hpp) and a Problem
+// supplying the pruning rule and the leaf kernel. The library's
+// multithreaded paths run the same leaves, in the same emission order,
+// on the DAG runtime (parallel/task_graph.hpp). Leaves are base-size tiles dispatched to the
 // kernels in kernels.hpp — which themselves runtime-dispatch to the
 // AVX2/FMA implementations in simd/ when the host supports them. The
 // BoxKind matters for more than ordering: the di/dj flags each leaf
@@ -74,16 +76,10 @@ inline TypedMetrics& typed_metrics() {
 }
 #endif
 
-// Default hint: the in-core engines pass nothing, and the if constexpr
-// checks below make the hint plumbing compile away entirely for them.
-struct NoHint {
-  void operator()(index_t, index_t, index_t, index_t) const {}
-};
-
-template <class Inv, class Leaf, class Prune, class Hint = NoHint>
+template <class Inv, class Leaf, class Prune>
 void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
                index_t bs, const Leaf& leaf, const Prune& prune,
-               const Hint& hint = {}, int depth = 0) {
+               int depth = 0) {
   if (prune(i0, j0, k0, m)) return;
   const bool ik = (i0 == k0), jk = (j0 == k0);
   const BoxKind kind = ik ? (jk ? BoxKind::A : BoxKind::B)
@@ -112,59 +108,26 @@ void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
   const index_t h = m / 2;
   const index_t ka = k0, kb = k0 + h;
   auto R = [&](index_t ii, index_t jj, index_t kk) {
-    typed_rec(inv, ii, jj, kk, h, bs, leaf, prune, hint, depth + 1);
-  };
-  // Prefetch hook: announce the (ii,jj,kk,h) subtrees of the NEXT stage
-  // just before the current stage runs, giving the async I/O worker one
-  // stage of compute to hide the fault behind (hint receivers derive the
-  // subtree's first-leaf tiles from these corner coordinates). Pruned
-  // subtrees execute nothing, so hinting them would pollute the cache.
-  auto H = [&](index_t ii, index_t jj, index_t kk) {
-    if constexpr (!std::is_same_v<Hint, NoHint>) {
-      if (!prune(ii, jj, kk, h)) hint(ii, jj, kk, h);
-    }
+    typed_rec(inv, ii, jj, kk, h, bs, leaf, prune, depth + 1);
   };
   if (ik && jk) {  // A (Fig. 6 top): A; par{B,C}; D — per k-half
-    H(i0, j0 + h, ka);
-    H(i0 + h, j0, ka);
     R(i0, j0, ka);
-    H(i0 + h, j0 + h, ka);
     inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0, ka); });
-    H(i0 + h, j0 + h, kb);
     R(i0 + h, j0 + h, ka);
-    H(i0 + h, j0, kb);
-    H(i0, j0 + h, kb);
     R(i0 + h, j0 + h, kb);
-    H(i0, j0, kb);
     inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0, j0 + h, kb); });
     R(i0, j0, kb);
   } else if (ik) {  // B: row panels share U; columns split
-    H(i0 + h, j0, ka);
-    H(i0 + h, j0 + h, ka);
     inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); });
-    H(i0 + h, j0, kb);
-    H(i0 + h, j0 + h, kb);
     inv.invoke([&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-    H(i0, j0, kb);
-    H(i0, j0 + h, kb);
     inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
     inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); });
   } else if (jk) {  // C: column panels share V; rows split
-    H(i0, j0 + h, ka);
-    H(i0 + h, j0 + h, ka);
     inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0 + h, j0, ka); });
-    H(i0, j0 + h, kb);
-    H(i0 + h, j0 + h, kb);
     inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-    H(i0, j0, kb);
-    H(i0 + h, j0, kb);
     inv.invoke([&] { R(i0, j0 + h, kb); }, [&] { R(i0 + h, j0 + h, kb); });
     inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0 + h, j0, kb); });
   } else {  // D: fully disjoint; each k-half is one parallel stage
-    H(i0, j0, kb);
-    H(i0, j0 + h, kb);
-    H(i0 + h, j0, kb);
-    H(i0 + h, j0 + h, kb);
     inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); },
                [&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
     inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); },
@@ -175,10 +138,9 @@ void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
 // Matrix multiplication C += A·B is I-GEP's D function over three
 // disjoint matrices; both k-halves of every level are single parallel
 // stages, giving span O(n) (end of Section 3).
-template <class Inv, class Leaf, class Hint = NoHint>
+template <class Inv, class Leaf>
 void mm_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
-            index_t bs, const Leaf& leaf, const Hint& hint = {},
-            int depth = 0) {
+            index_t bs, const Leaf& leaf, int depth = 0) {
   obs::ScopedSpan span('D', depth, i0, j0, k0, m);
   obs::Watchdog::beat_this_thread();
   obs::FlightRecScope frec('D', depth, static_cast<std::uint64_t>(m));
@@ -195,15 +157,8 @@ void mm_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
   }
   const index_t h = m / 2;
   auto R = [&](index_t ii, index_t jj, index_t kk) {
-    mm_rec(inv, ii, jj, kk, h, bs, leaf, hint, depth + 1);
+    mm_rec(inv, ii, jj, kk, h, bs, leaf, depth + 1);
   };
-  // Same one-stage-ahead prefetch hook as typed_rec (nothing prunes).
-  if constexpr (!std::is_same_v<Hint, NoHint>) {
-    hint(i0, j0, k0 + h, h);
-    hint(i0, j0 + h, k0 + h, h);
-    hint(i0 + h, j0, k0 + h, h);
-    hint(i0 + h, j0 + h, k0 + h, h);
-  }
   for (index_t kk : {k0, k0 + h}) {
     inv.invoke([&] { R(i0, j0, kk); }, [&] { R(i0, j0 + h, kk); },
                [&] { R(i0 + h, j0, kk); }, [&] { R(i0 + h, j0 + h, kk); });

@@ -12,6 +12,7 @@
 // structural property of the DAG, not of the silicon.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,6 +49,13 @@ double leaf_cost(DagProblem prob, index_t m, bool di, bool dj);
 // it receives the leaf boxes; SPNode::leaf_id indexes into it.
 SPNode build_igep_dag(DagProblem prob, index_t n, index_t base,
                       std::vector<LeafBox>* boxes = nullptr);
+
+// Calls fn for every leaf box of the same recursion, in sequential
+// execution order (build_igep_dag's box order), without materializing
+// the tree. The task-graph builder and the checkpoint layer walk the
+// recursion through this.
+void for_each_leaf(DagProblem prob, index_t n, index_t base,
+                   const std::function<void(const LeafBox&)>& fn);
 
 // One leaf execution in a simulated p-processor greedy schedule.
 struct ScheduledLeaf {

@@ -5,156 +5,170 @@
 #include <cstdlib>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 
 namespace gep {
-
-void TaskGraph::begin_build(index_t grid_tiles, int n_mats,
-                            std::size_t n_tasks) {
-  grid_ = grid_tiles;
-  blocks_.assign(static_cast<std::size_t>(n_mats) *
-                     static_cast<std::size_t>(grid_tiles) *
-                     static_cast<std::size_t>(grid_tiles),
-                 BlockState{});
-  tasks_.reserve(n_tasks);
-  succ_.reserve(n_tasks);
-  preds_.reserve(n_tasks);
-}
-
-int TaskGraph::add_task(const BlockTask& t, const Access* acc, int n_acc) {
-  const int id = static_cast<int>(tasks_.size());
-  tasks_.push_back(t);
-  succ_.emplace_back();
-  preds_.push_back(0);
-  work_ += t.cost;
-
-  auto key = [this](const Access& a) {
-    return (static_cast<std::size_t>(a.mat) * static_cast<std::size_t>(grid_) +
-            static_cast<std::size_t>(a.bi)) *
-               static_cast<std::size_t>(grid_) +
-           static_cast<std::size_t>(a.bj);
-  };
-
-  // Collect dependencies from the pre-task block states: a write waits
-  // for the block's last writer (WAW) and every reader since it (WAR); a
-  // read waits for the last writer (RAW).
-  dep_scratch_.clear();
-  for (int i = 0; i < n_acc; ++i) {
-    const BlockState& st = blocks_[key(acc[i])];
-    if (st.last_writer >= 0) dep_scratch_.push_back(st.last_writer);
-    if (acc[i].write) {
-      dep_scratch_.insert(dep_scratch_.end(), st.readers.begin(),
-                          st.readers.end());
-    }
-  }
-
-  // Update the states: writes first, so a block this task both writes
-  // and reads (the in-place A/B/C leaves read their own partially
-  // updated X) registers as a write only.
-  for (int i = 0; i < n_acc; ++i) {
-    if (!acc[i].write) continue;
-    BlockState& st = blocks_[key(acc[i])];
-    st.last_writer = id;
-    st.readers.clear();
-  }
-  for (int i = 0; i < n_acc; ++i) {
-    if (acc[i].write) continue;
-    BlockState& st = blocks_[key(acc[i])];
-    if (st.last_writer == id) continue;
-    // Duplicate reads of one block (GE's U and W coincide in B-kind
-    // boxes) would land adjacent: ids only grow.
-    if (!st.readers.empty() && st.readers.back() == id) continue;
-    st.readers.push_back(id);
-  }
-
-  std::sort(dep_scratch_.begin(), dep_scratch_.end());
-  dep_scratch_.erase(std::unique(dep_scratch_.begin(), dep_scratch_.end()),
-                     dep_scratch_.end());
-  for (int d : dep_scratch_) {
-    succ_[static_cast<std::size_t>(d)].push_back(id);
-    preds_[static_cast<std::size_t>(id)] += 1;
-    ++edges_;
-  }
-  return id;
-}
-
-void TaskGraph::finalize() {
-  const int n = size();
-  priority_.assign(static_cast<std::size_t>(n), 0.0);
-  span_ = 0;
-  // Emission order is topological (every dependency has a smaller id),
-  // so one backward sweep computes the critical path to the exit.
-  for (int id = n - 1; id >= 0; --id) {
-    double best = 0;
-    for (int s : succ_[static_cast<std::size_t>(id)]) {
-      best = std::max(best, priority_[static_cast<std::size_t>(s)]);
-    }
-    priority_[static_cast<std::size_t>(id)] =
-        tasks_[static_cast<std::size_t>(id)].cost + best;
-    span_ = std::max(span_, priority_[static_cast<std::size_t>(id)]);
-  }
-  ready0_.clear();
-  for (int id = 0; id < n; ++id) {
-    if (preds_[static_cast<std::size_t>(id)] == 0) ready0_.push_back(id);
-  }
-  std::sort(ready0_.begin(), ready0_.end(), [this](int a, int b) {
-    const double pa = priority_[static_cast<std::size_t>(a)];
-    const double pb = priority_[static_cast<std::size_t>(b)];
-    // Priority ties resolve to emission (sequential) order.
-    return pa != pb ? pa > pb : a < b;
-  });
-  // The per-block analysis state is only needed while adding tasks.
-  blocks_.clear();
-  blocks_.shrink_to_fit();
-  dep_scratch_.clear();
-  dep_scratch_.shrink_to_fit();
-}
 
 TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base) {
   TaskGraph g;
   g.problem = prob;
+  if (n <= 0) return g;
   const index_t bs = std::min(base, n);
-  // build_igep_dag emits the leaf boxes in exactly the typed recursion's
-  // sequential order (same stage lists as detail::typed_rec / mm_rec),
-  // which is the order the superscalar analysis in add_task requires —
-  // and, unlike running typed_rec with a recording leaf, it does not
-  // bill emission to the typed.* work counters.
-  std::vector<LeafBox> boxes;
-  build_igep_dag(prob, n, bs, &boxes);
-  int log_n = 0;
-  while ((index_t{1} << log_n) < n) ++log_n;
-  const index_t grid = (n + bs - 1) / bs;
-  g.begin_build(grid, prob == DagProblem::MatMul ? 3 : 1, boxes.size());
-  TaskGraph::Access acc[4];
-  for (const LeafBox& b : boxes) {
-    const bool di = (b.i0 == b.k0), dj = (b.j0 == b.k0);
-    BlockTask t;
-    t.kind = di ? (dj ? BoxKind::A : BoxKind::B)
-                : (dj ? BoxKind::C : BoxKind::D);
-    t.i0 = b.i0;
-    t.j0 = b.j0;
-    t.k0 = b.k0;
-    t.m = b.m;
-    int log_m = 0;
-    while ((index_t{1} << log_m) < b.m) ++log_m;
-    t.depth = log_n - log_m;
-    t.cost = leaf_cost(prob, b.m, di, dj);
-    const index_t bi = b.i0 / bs, bj = b.j0 / bs, bk = b.k0 / bs;
-    int na = 0;
-    if (prob == DagProblem::MatMul) {
-      acc[na++] = TaskGraph::Access{0, bi, bj, true};   // C
-      acc[na++] = TaskGraph::Access{1, bi, bk, false};  // A
-      acc[na++] = TaskGraph::Access{2, bk, bj, false};  // B
-    } else {
-      acc[na++] = TaskGraph::Access{0, bi, bj, true};   // X
-      acc[na++] = TaskGraph::Access{0, bi, bk, false};  // U
-      acc[na++] = TaskGraph::Access{0, bk, bj, false};  // V
-      if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
-        acc[na++] = TaskGraph::Access{0, bk, bk, false};  // W (pivot)
-      }
-    }
-    g.add_task(t, acc, na);
+  // The recursion halves the box side until it reaches the base size, so
+  // every leaf has the same side m and depth.
+  index_t m = n;
+  while (m > bs) m /= 2;
+  if (m <= 0 || n % m != 0 || !is_pow2(n / m)) {
+    throw std::invalid_argument(
+        "task graph: n must be the leaf side times a power of two");
   }
-  g.finalize();
+  int log_n = 0, log_m = 0;
+  while ((index_t{1} << log_n) < n) ++log_n;
+  while ((index_t{1} << log_m) < m) ++log_m;
+  g.m_ = m;
+  g.depth_ = log_n - log_m;
+  for (int k = 0; k < 4; ++k) {
+    const BoxKind kind = static_cast<BoxKind>(k);
+    g.cost_[k] = leaf_cost(prob, m, kind == BoxKind::A || kind == BoxKind::B,
+                           kind == BoxKind::A || kind == BoxKind::C);
+  }
+  std::size_t count = 0;
+  for_each_leaf(prob, n, bs, [&count](const LeafBox&) { ++count; });
+
+  // Superscalar dependence analysis over the emission order, one state
+  // per (matrix, tile) block: a write waits for the block's last writer
+  // (WAW) and every reader since it (WAR); a read waits for the last
+  // writer (RAW). Calls on_task(id, box, deps) per task, deps sorted and
+  // unique.
+  struct BlockState {
+    int last_writer = -1;
+    std::vector<int> readers;  // since last_writer
+  };
+  struct Access {
+    int mat;  // 0 = X/C; matmul uses 1 = A, 2 = B
+    index_t bi, bj;
+    bool write;
+  };
+  const index_t grid = (n + bs - 1) / bs;
+  const int n_mats = prob == DagProblem::MatMul ? 3 : 1;
+  auto analyze = [&](auto&& on_task) {
+    std::vector<BlockState> blocks(static_cast<std::size_t>(n_mats) *
+                                   static_cast<std::size_t>(grid) *
+                                   static_cast<std::size_t>(grid));
+    auto state = [&](const Access& a) -> BlockState& {
+      return blocks[(static_cast<std::size_t>(a.mat) *
+                         static_cast<std::size_t>(grid) +
+                     static_cast<std::size_t>(a.bi)) *
+                        static_cast<std::size_t>(grid) +
+                    static_cast<std::size_t>(a.bj)];
+    };
+    std::vector<int> deps;
+    int id = 0;
+    for_each_leaf(prob, n, bs, [&](const LeafBox& b) {
+      const index_t bi = b.i0 / bs, bj = b.j0 / bs, bk = b.k0 / bs;
+      Access acc[4];
+      int na = 0;
+      if (prob == DagProblem::MatMul) {
+        acc[na++] = Access{0, bi, bj, true};   // C
+        acc[na++] = Access{1, bi, bk, false};  // A
+        acc[na++] = Access{2, bk, bj, false};  // B
+      } else {
+        acc[na++] = Access{0, bi, bj, true};   // X
+        acc[na++] = Access{0, bi, bk, false};  // U
+        acc[na++] = Access{0, bk, bj, false};  // V
+        if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
+          acc[na++] = Access{0, bk, bk, false};  // W (pivot)
+        }
+      }
+      deps.clear();
+      for (int i = 0; i < na; ++i) {
+        const BlockState& st = state(acc[i]);
+        if (st.last_writer >= 0) deps.push_back(st.last_writer);
+        if (acc[i].write) {
+          deps.insert(deps.end(), st.readers.begin(), st.readers.end());
+        }
+      }
+      // Writes first, so a block this task both writes and reads (the
+      // in-place A/B/C leaves read their own partially updated X)
+      // registers as a write only.
+      for (int i = 0; i < na; ++i) {
+        if (!acc[i].write) continue;
+        BlockState& st = state(acc[i]);
+        st.last_writer = id;
+        st.readers.clear();
+      }
+      for (int i = 0; i < na; ++i) {
+        if (acc[i].write) continue;
+        BlockState& st = state(acc[i]);
+        if (st.last_writer == id) continue;
+        // Duplicate reads of one block (GE's U and W coincide in B-kind
+        // boxes) would land adjacent: ids only grow.
+        if (!st.readers.empty() && st.readers.back() == id) continue;
+        st.readers.push_back(id);
+      }
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      on_task(id, b, deps);
+      ++id;
+    });
+  };
+
+  // Pass 1 stores the tasks and counts each task's successors; pass 2
+  // reruns the (deterministic) analysis to fill the successor array in
+  // place, so no edge list is ever held twice. Filling in ascending id
+  // order leaves every successor list ascending.
+  g.tasks_.reserve(count);
+  g.preds_.reserve(count);
+  g.succ_off_.assign(count + 1, 0);
+  analyze([&g, m](int, const LeafBox& b, const std::vector<int>& deps) {
+    const bool di = (b.i0 == b.k0), dj = (b.j0 == b.k0);
+    const BoxKind kind = di ? (dj ? BoxKind::A : BoxKind::B)
+                            : (dj ? BoxKind::C : BoxKind::D);
+    g.tasks_.push_back(TaskGraph::Tile{static_cast<std::uint16_t>(b.i0 / m),
+                                       static_cast<std::uint16_t>(b.j0 / m),
+                                       static_cast<std::uint16_t>(b.k0 / m),
+                                       static_cast<std::uint8_t>(kind)});
+    g.work_ += g.cost_[static_cast<int>(kind)];
+    g.preds_.push_back(static_cast<int>(deps.size()));
+    for (int d : deps) g.succ_off_[static_cast<std::size_t>(d) + 1] += 1;
+  });
+  for (std::size_t id = 0; id < count; ++id) {
+    g.succ_off_[id + 1] += g.succ_off_[id];
+  }
+  g.succ_.resize(g.succ_off_[count]);
+  // succ_off_[d] serves as d's fill cursor and ends at d + 1's start;
+  // shifting the array right by one restores the offsets.
+  analyze([&g](int id, const LeafBox&, const std::vector<int>& deps) {
+    for (int d : deps) {
+      g.succ_[g.succ_off_[static_cast<std::size_t>(d)]++] = id;
+    }
+  });
+  for (std::size_t id = count; id > 0; --id) {
+    g.succ_off_[id] = g.succ_off_[id - 1];
+  }
+  g.succ_off_[0] = 0;
+
+  // Emission order is topological (every dependency has a smaller id),
+  // so one backward sweep computes the critical path to the exit.
+  g.priority_.assign(count, 0.0);
+  for (int id = g.size() - 1; id >= 0; --id) {
+    double best = 0;
+    for (int s : g.successors(id)) {
+      best = std::max(best, g.priority_[static_cast<std::size_t>(s)]);
+    }
+    const double p =
+        g.cost_[g.tasks_[static_cast<std::size_t>(id)].kind] + best;
+    g.priority_[static_cast<std::size_t>(id)] = p;
+    g.span_ = std::max(g.span_, p);
+  }
+  for (int id = 0; id < g.size(); ++id) {
+    if (g.pred_count(id) == 0) g.ready0_.push_back(id);
+  }
+  std::sort(g.ready0_.begin(), g.ready0_.end(), [&g](int a, int b) {
+    const double pa = g.priority(a), pb = g.priority(b);
+    // Priority ties resolve to emission (sequential) order.
+    return pa != pb ? pa > pb : a < b;
+  });
   obs::counter("parallel.dag.tasks").inc(static_cast<std::uint64_t>(g.size()));
   obs::counter("parallel.dag.edges").inc(
       static_cast<std::uint64_t>(g.edge_count()));
@@ -222,7 +236,7 @@ struct DagExec {
 
   void exec_leaf(int id) {
     obs::Watchdog::beat_this_thread();
-    const BlockTask& t = g.task(id);
+    const BlockTask t = g.task(id);
     if (was_hinted != nullptr &&
         was_hinted[id].load(std::memory_order_relaxed)) {
       hints_out.fetch_sub(1, std::memory_order_relaxed);
@@ -343,11 +357,15 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
   DagExec ex(g, leaf, opts);
   ex.unmet = std::make_unique<std::atomic<int>[]>(
       static_cast<std::size_t>(n));
-  ex.was_hinted = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
     ex.unmet[id].store(g.pred_count(id), std::memory_order_relaxed);
-    ex.was_hinted[id].store(false, std::memory_order_relaxed);
+  }
+  if (ex.hinting()) {
+    ex.was_hinted = std::make_unique<std::atomic<bool>[]>(
+        static_cast<std::size_t>(n));
+    for (int id = 0; id < n; ++id) {
+      ex.was_hinted[id].store(false, std::memory_order_relaxed);
+    }
   }
   if (opts.ckpt != nullptr) {
     // Resume path: the frontier is a dependence downset (every
@@ -426,12 +444,6 @@ double task_graph_makespan(const TaskGraph& g, int p) {
     }
   }
   return t;
-}
-
-RuntimeKind runtime_from_env(RuntimeKind fallback) {
-  const char* v = std::getenv("GEP_DAG_RUNTIME");
-  if (v == nullptr || *v == '\0') return fallback;
-  return (*v == '0') ? RuntimeKind::ForkJoin : RuntimeKind::Dag;
 }
 
 int dag_lookahead_from_env(int fallback) {

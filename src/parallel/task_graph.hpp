@@ -26,16 +26,19 @@
 //    PageCache::prefetch, so the SAME scheduler state drives both the
 //    workers and the async I/O worker (extmem/ooc_typed.hpp).
 //
-// The fork-join invoker remains the default engine; the DAG runtime is
-// opted into per call site or process-wide via $GEP_DAG_RUNTIME=1
-// (apps::RunOptions::runtime). dag_sim.hpp's greedy scheduler is the
-// quality oracle: task_graph_makespan() on this DAG must not exceed the
-// fork-join DAG's makespan (fewer constraints, same greedy policy).
+// This is the library's one multithreaded executor: the app entry points
+// run every job with more than one thread on it (apps/runtime_select.hpp)
+// and the out-of-core drivers are built on it. The fork-join recursion of
+// gep/typed.hpp stays as the paper's Fig. 6 and as this DAG's emission
+// order. dag_sim.hpp's greedy scheduler is the quality oracle:
+// task_graph_makespan() on this DAG must not exceed the fork-join DAG's
+// makespan (fewer constraints, same greedy policy).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "gep/typed.hpp"
@@ -52,50 +55,41 @@ struct BlockTask {
   double cost = 0;                        // update count (dag_sim costs)
 };
 
-// Dependency DAG over block tasks. Built task by task in sequential
-// emission order; finalize() computes critical-path priorities.
+// Dependency DAG over block tasks, built by build_typed_task_graph.
+// Every leaf of one recursion has the same side, depth and per-kind
+// cost, so a task is stored as its leaf-grid coordinates plus its kind
+// (8 bytes) and task() expands it; successors are stored in CSR form
+// (one offset per task plus one flat edge array, both exactly sized).
 class TaskGraph {
  public:
-  // One block touched by a task. `mat` distinguishes operand matrices
-  // (0 = X/C; matmul uses 1 = A, 2 = B); (bi, bj) are tile coordinates.
-  struct Access {
-    int mat;
-    index_t bi, bj;
-    bool write;
-  };
-
-  // Sizes the per-block analysis state: `grid_tiles` tiles per side,
-  // `n_mats` operand matrices, and an expected task count to reserve
-  // for. Must be called before the first add_task.
-  void begin_build(index_t grid_tiles, int n_mats, std::size_t n_tasks);
-
-  // Appends a task and derives its dependency edges from the accesses.
-  // Tasks MUST be added in sequential execution order (the analysis
-  // serializes each block's access history in that order). Returns the
-  // task id. A block both written and read by one task counts as a
-  // write only (in-place kernels read their own partially updated X).
-  int add_task(const BlockTask& t, const Access* acc, int n_acc);
-
-  // Computes priorities and the initial ready list. Call once, after
-  // the last add_task; add_task afterwards is undefined.
-  void finalize();
-
   int size() const { return static_cast<int>(tasks_.size()); }
-  const BlockTask& task(int id) const {
-    return tasks_[static_cast<std::size_t>(id)];
+  BlockTask task(int id) const {
+    const Tile& t = tasks_[static_cast<std::size_t>(id)];
+    BlockTask b;
+    b.kind = static_cast<BoxKind>(t.kind);
+    b.i0 = t.bi * m_;
+    b.j0 = t.bj * m_;
+    b.k0 = t.bk * m_;
+    b.m = m_;
+    b.depth = depth_;
+    b.cost = cost_[t.kind];
+    return b;
   }
-  const std::vector<int>& successors(int id) const {
-    return succ_[static_cast<std::size_t>(id)];
+  // Successor ids in ascending order.
+  std::span<const int> successors(int id) const {
+    const std::size_t b = succ_off_[static_cast<std::size_t>(id)];
+    const std::size_t e = succ_off_[static_cast<std::size_t>(id) + 1];
+    return {succ_.data() + b, e - b};
   }
   int pred_count(int id) const { return preds_[static_cast<std::size_t>(id)]; }
   // Critical-path length (cost-weighted, inclusive) from this task to
-  // the DAG's exit. Valid after finalize().
+  // the DAG's exit.
   double priority(int id) const {
     return priority_[static_cast<std::size_t>(id)];
   }
-  std::size_t edge_count() const { return edges_; }
+  std::size_t edge_count() const { return succ_.size(); }
   double work() const { return work_; }        // sum of task costs
-  double span() const { return span_; }        // critical path, finalized
+  double span() const { return span_; }        // critical path
   // Tasks with no predecessors, highest priority first.
   const std::vector<int>& initial_ready() const { return ready0_; }
 
@@ -103,30 +97,33 @@ class TaskGraph {
   DagProblem problem = DagProblem::FloydWarshall;
 
  private:
-  struct BlockState {
-    int last_writer = -1;
-    std::vector<int> readers;  // since last_writer
+  friend TaskGraph build_typed_task_graph(DagProblem prob, index_t n,
+                                          index_t base);
+  // 16-bit coordinates suffice: a leaf grid 2^16 tiles wide would hold
+  // more than 2^31 tasks, past what int task ids address.
+  struct Tile {
+    std::uint16_t bi, bj, bk;  // leaf-grid coordinates (element / m_)
+    std::uint8_t kind;         // BoxKind
   };
 
-  std::vector<BlockTask> tasks_;
-  std::vector<std::vector<int>> succ_;
+  std::vector<Tile> tasks_;
+  std::vector<std::uint32_t> succ_off_;  // size() + 1 offsets into succ_
+  std::vector<int> succ_;
   std::vector<int> preds_;
   std::vector<double> priority_;
   std::vector<int> ready0_;
-  // Flat (mat, bi, bj) -> state array: the grid is known before the
-  // first add_task, and a direct index beats hashing the coordinates on
-  // the build's hot path (~4 lookups per task).
-  std::vector<BlockState> blocks_;
-  index_t grid_ = 0;
-  std::vector<int> dep_scratch_;
-  std::size_t edges_ = 0;
+  index_t m_ = 0;       // leaf side
+  int depth_ = 0;       // recursion depth of the leaves
+  double cost_[4] = {}; // leaf cost per BoxKind
   double work_ = 0;
   double span_ = 0;
 };
 
-// Emits the typed recursion's leaf boxes (gep/typed.hpp, sequential
-// order) into a TaskGraph with per-problem prune rule, access sets
-// (X/U/V plus W for GE/LU; C/A/B for matmul) and dag_sim leaf costs.
+// Walks the typed recursion's leaf boxes (dag_sim.hpp's for_each_leaf:
+// gep/typed.hpp's sequential order, per-problem pruning) and derives the
+// edges from each box's block accesses (X/U/V plus W for GE/LU; C/A/B
+// for matmul) by the superscalar analysis above; costs are dag_sim's
+// leaf costs. n must be the leaf side times a power of two.
 TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base);
 
 // Checkpoint/restart contract between the runtime and a coordinator
@@ -181,11 +178,6 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
 // validation.
 double task_graph_makespan(const TaskGraph& g, int p);
 
-// Process-wide runtime pin: $GEP_DAG_RUNTIME=1 selects the DAG runtime,
-// =0 the fork-join invoker; unset keeps `fallback`.
-enum class RuntimeKind { ForkJoin, Dag };
-RuntimeKind runtime_from_env(RuntimeKind fallback = RuntimeKind::ForkJoin);
-
 // Lookahead depth for DAG-driven prefetch ($GEP_DAG_LOOKAHEAD).
 int dag_lookahead_from_env(int fallback = 4);
 
@@ -207,6 +199,31 @@ void igep_floyd_warshall_dag(WorkStealingPool* pool, const Store& st,
     const T* u = st.tile(t.i0 / bs, t.k0 / bs);
     const T* v = st.tile(t.k0 / bs, t.j0 / bs);
     kernel_fw(x, u, v, t.m, s, s, s);
+  });
+}
+
+// Floyd-Warshall with successor tracking (typed.hpp's
+// igep_floyd_warshall_paths): the successor tiles a leaf touches are the
+// X (written) and U (read) tiles of the distance matrix, so the distance
+// graph's edges order them too.
+template <class StoreD, class StoreS>
+void igep_floyd_warshall_paths_dag(WorkStealingPool* pool, const StoreD& dst,
+                                   const StoreS& sst, index_t n,
+                                   TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-fw-paths-dag");
+  using T = std::remove_reference_t<decltype(dst.tile(0, 0)[0])>;
+  using I = std::remove_reference_t<decltype(sst.tile(0, 0)[0])>;
+  const index_t bs = std::min(opts.base_size, n);
+  const index_t s = dst.tile_stride();
+  const index_t ss = sst.tile_stride();
+  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
+  run_task_graph(g, pool, [&](const BlockTask& t) {
+    T* x = dst.tile(t.i0 / bs, t.j0 / bs);
+    const T* u = dst.tile(t.i0 / bs, t.k0 / bs);
+    const T* v = dst.tile(t.k0 / bs, t.j0 / bs);
+    I* xs = sst.tile(t.i0 / bs, t.j0 / bs);
+    const I* us = sst.tile(t.i0 / bs, t.k0 / bs);
+    kernel_fw_paths(x, u, v, xs, us, t.m, s, s, s, ss, ss);
   });
 }
 

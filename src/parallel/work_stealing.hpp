@@ -4,10 +4,9 @@
 // Each worker owns a deque: it pushes and pops forked tasks at the back
 // (LIFO, preserving the sequential order's locality — the property the
 // lemma's bound rests on) and steals from the FRONT of a random victim
-// when empty (stealing the oldest, largest-granularity work). The
-// central-queue ThreadPool (thread_pool.hpp) is the simpler alternative;
-// both satisfy the same fork-join interface, so the typed I-GEP engine
-// runs on either (see WsParInvoker).
+// when empty (stealing the oldest, largest-granularity work). The pool
+// runs both the DAG runtime (task_graph.hpp) and, through WsInvoker, the
+// typed engine's Fig. 6 fork-join recursion.
 #pragma once
 
 #include <atomic>
@@ -120,8 +119,9 @@ class WsTaskGroup {
   std::exception_ptr eptr_;
 };
 
-// Invoker over a work-stealing pool (typed I-GEP engine concept).
-struct WsParInvoker {
+// Invoker over a work-stealing pool (typed I-GEP engine concept): the
+// last callable of each parallel stage runs inline, the rest are forked.
+struct WsInvoker {
   WorkStealingPool* pool = nullptr;
 
   template <class... Fs>

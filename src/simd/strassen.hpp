@@ -48,8 +48,7 @@ inline constexpr index_t kStrassenMinMDefault = 384;
 // (edge >= min_m / 2) are too small to amortize even one packing pass.
 inline constexpr index_t kStrassenMinMFloor = 16;
 
-// Per-run GEMM tuning, threaded from apps::RunOptions and
-// extmem::OocTypedOptions. -1 means "inherit" the process default
+// Per-run GEMM tuning, threaded from apps::RunOptions. -1 means "inherit" the process default
 // ($GEP_STRASSEN_LEVELS / $GEP_STRASSEN_MIN_M / built-in).
 struct GemmOptions {
   int strassen_levels = -1;

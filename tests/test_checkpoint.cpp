@@ -133,6 +133,8 @@ struct Job {
     }
   }
 
+  // dag = false runs the sequential engine (pool == nullptr: emission
+  // order on the calling thread); dag = true a 2-worker pool.
   void run(CheckpointCoordinator* ck, bool dag, bool async) {
     if (async) cache.enable_async_io();
     struct AsyncOff {
@@ -142,30 +144,19 @@ struct Job {
         if (on) c->disable_async_io();
       }
     } guard{&cache, async};
-    if (dag) {
-      WorkStealingPool pool(2);
-      OocDagOptions o;
-      o.prefetch = async;
-      o.ckpt = ck;
-      switch (algo) {
-        case Algo::FW: ooc_igep_floyd_warshall_dag(*mats[0], &pool, o); break;
-        case Algo::LU: ooc_igep_lu_dag(*mats[0], &pool, o); break;
-        case Algo::MM:
-          ooc_igep_matmul_dag(*mats[0], *mats[1], *mats[2], &pool, o);
-          break;
-      }
-    } else {
-      SeqInvoker inv;
-      OocTypedOptions o;
-      o.prefetch = async;
-      o.ckpt = ck;
-      switch (algo) {
-        case Algo::FW: ooc_igep_floyd_warshall(*mats[0], inv, o); break;
-        case Algo::LU: ooc_igep_lu(*mats[0], inv, o); break;
-        case Algo::MM:
-          ooc_igep_matmul(*mats[0], *mats[1], *mats[2], inv, o);
-          break;
-      }
+    std::unique_ptr<WorkStealingPool> pool;
+    if (dag) pool = std::make_unique<WorkStealingPool>(2);
+    OocDagOptions o;
+    o.prefetch = async;
+    o.ckpt = ck;
+    switch (algo) {
+      case Algo::FW:
+        ooc_igep_floyd_warshall_dag(*mats[0], pool.get(), o);
+        break;
+      case Algo::LU: ooc_igep_lu_dag(*mats[0], pool.get(), o); break;
+      case Algo::MM:
+        ooc_igep_matmul_dag(*mats[0], *mats[1], *mats[2], pool.get(), o);
+        break;
     }
   }
 
@@ -215,7 +206,7 @@ CheckpointOptions ckpt_opts(const std::string& dir,
 // fallback path.
 void kill_resume_case(Algo algo, bool dag, bool async, double frac,
                       std::uint64_t frames) {
-  SCOPED_TRACE(std::string(algo_str(algo)) + (dag ? " dag" : " forkjoin") +
+  SCOPED_TRACE(std::string(algo_str(algo)) + (dag ? " pool" : " seq") +
                (async ? " async" : " sync") + " frac " +
                std::to_string(frac));
   const index_t n = 32, bs = 8;
@@ -284,6 +275,8 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
   }
 }
 
+// "ForkJoin" cells run the sequential engine (pool == nullptr, the
+// recursion's own order); "Dag" cells a 2-worker pool.
 TEST(CkptKillResume, FwForkJoinSyncEarly) {
   kill_resume_case(Algo::FW, false, false, 0.25, 8);
 }
@@ -325,43 +318,6 @@ TEST(CkptKillResume, LuDagAsyncMid) {
 }
 TEST(CkptKillResume, MmDagAsyncMid) {
   kill_resume_case(Algo::MM, true, true, 0.4, 32);
-}
-
-// Cross-runtime resume: a chain cut under the fork-join invoker resumes
-// under the DAG scheduler (the fingerprint deliberately excludes the
-// runtime — any topological execution of the same DAG is bit-identical).
-TEST(CkptKillResume, ForkJoinCutResumesUnderDagRuntime) {
-  const index_t n = 32, bs = 8;
-  Matrix<double> ref;
-  {
-    Job job(Algo::FW, n, bs, 28);
-    job.load_input();
-    job.run(nullptr, false, false);
-    ref = job.result();
-  }
-  TempDir dir;
-  bool died = false;
-  {
-    Job job(Algo::FW, n, bs, 28, kill_after(40));
-    CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
-    job.register_with(ck);
-    try {
-      job.load_input();
-      job.run(&ck, /*dag=*/false, /*async=*/false);
-    } catch (const std::exception&) {
-      died = true;
-    }
-  }
-  EXPECT_TRUE(died);
-  {
-    Job job(Algo::FW, n, bs, 28);
-    CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
-    job.register_with(ck);
-    ck.bind(DagProblem::FloydWarshall, n, bs, false);
-    if (!ck.resume()) job.load_input();
-    job.run(&ck, /*dag=*/true, /*async=*/false);
-    EXPECT_TRUE(bit_identical(ref, job.result()));
-  }
 }
 
 // ---- Snapshot format validation ----

@@ -18,7 +18,7 @@
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
 #include "parallel/dag_sim.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/peak.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
@@ -153,7 +153,7 @@ TEST(Starved, IdealCacheMinimumCapacity) {
 // --- Scheduler stress -------------------------------------------------------
 
 TEST(PoolStress, DeepNestedRecursionManyTasks) {
-  ThreadPool pool(8);
+  WorkStealingPool pool(8);
   std::atomic<long> count{0};
   // Fork a full binary tree of depth 12 (4095 internal groups).
   std::function<void(int)> rec = [&](int depth) {
@@ -161,7 +161,7 @@ TEST(PoolStress, DeepNestedRecursionManyTasks) {
       count.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    TaskGroup g(&pool);
+    WsTaskGroup g(&pool);
     g.run([&, depth] { rec(depth - 1); });
     g.run([&, depth] { rec(depth - 1); });
     g.wait();
@@ -171,11 +171,11 @@ TEST(PoolStress, DeepNestedRecursionManyTasks) {
 }
 
 TEST(PoolStress, ManyGroupsSequentially) {
-  ThreadPool pool(4);
+  WorkStealingPool pool(4);
   long total = 0;
   std::atomic<long> hits{0};
   for (int round = 0; round < 200; ++round) {
-    TaskGroup g(&pool);
+    WsTaskGroup g(&pool);
     for (int t = 0; t < 5; ++t) g.run([&] { hits.fetch_add(1); });
     g.wait();
     total += 5;
@@ -206,10 +206,10 @@ TEST(DagSchedule, EveryLeafExactlyOnceWithValidProcs) {
 
 // --- Misc robustness --------------------------------------------------------
 
-TEST(Misc, ThreadPoolClampsThreadCount) {
-  ThreadPool p0(0);
+TEST(Misc, WorkStealingPoolClampsThreadCount) {
+  WorkStealingPool p0(0);
   EXPECT_EQ(p0.threads(), 1);
-  ThreadPool pneg(-3);
+  WorkStealingPool pneg(-3);
   EXPECT_EQ(pneg.threads(), 1);
 }
 

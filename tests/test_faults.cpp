@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -490,7 +491,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_floyd_warshall(m0);
+  ooc_igep_floyd_warshall_dag(m0, nullptr, {.prefetch = false});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -498,8 +499,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_floyd_warshall(m, inv, {.prefetch = async});
+    ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     const PageCacheStats s = cache.stats();
@@ -517,7 +517,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_lu(m0);
+  ooc_igep_lu_dag(m0, nullptr, {.prefetch = false});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -525,8 +525,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_lu(m, inv, {.prefetch = async});
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -545,7 +544,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
   a0.load(am);
   b0.load(bm);
   c0.load(zero);
-  ooc_igep_matmul(c0, a0, b0);
+  ooc_igep_matmul_dag(c0, a0, b0, nullptr, {.prefetch = false});
   const Matrix<double> ref = c0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -556,8 +555,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
     b.load(bm);
     c.load(zero);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_matmul(c, a, b, inv, {.prefetch = async});
+    ooc_igep_matmul_dag(c, a, b, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, c.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -573,19 +571,58 @@ TEST(FaultOoc, ParallelLuHardFaultPropagatesWithoutHang) {
   FaultInjector* inj = cache.fault_injector(0);
   ASSERT_NE(inj, nullptr);
   // A page in the middle of the matrix becomes unreadable: the failing
-  // leaf's IoError must surface from wait() — captured by WsTaskGroup —
-  // with no deadlock and no leaked pins.
+  // leaf's IoError must surface from run_task_graph — captured by
+  // WsTaskGroup — with no deadlock and no leaked pins.
   inj->set_hard_fault(7, /*reads=*/true, /*writes=*/true);
   {
     WorkStealingPool pool(8);
-    WsParInvoker inv{&pool};
-    EXPECT_THROW(ooc_igep_lu(m, inv), IoError);
+    EXPECT_THROW(ooc_igep_lu_dag(m, &pool, {.prefetch = false}), IoError);
   }
   // All pins were released and no frame leaked io_busy: the cache is
   // fully usable afterwards.
   inj->clear_hard_faults();
   EXPECT_NO_THROW(cache.pin(0, 7, false));
   EXPECT_NO_THROW(cache.flush());
+}
+
+// Regression: a store that dies under async write-behind must fail the
+// job, not wedge it. The worker used to re-pick the same dirty frame
+// after every failed write-behind, holding its io_busy flag from one
+// attempt to the next, so a leaf pinning that page waited forever. The
+// setup is deterministic: the cache holds the whole matrix (the job
+// itself never evicts), the store's first write is the kill, and the job
+// starts only after the worker's write-behind has failed — on the least
+// recently used page, which holds tile (0,0), the first leaf's X tile.
+TEST(FaultOoc, DeadStoreUnderWriteBehindFailsJobInBoundedTime) {
+  const index_t n = 32, bs = 8;
+  const std::uint64_t B = bs * bs * sizeof(double);
+  RobustOptions r;
+  r.faults.kill_after_writes = 1;
+  r.retry.backoff_us = 0;
+  PageCache cache(32 * B, B, {}, r);
+  OocTiledMatrix<double> m(cache, n, n, bs);
+  m.load(fw_init(n, 36));  // every page resident and dirty, none written
+  cache.enable_async_io();
+  const auto t0 = std::chrono::steady_clock::now();
+  while (cache.stats().writeback_failures == 0 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(cache.stats().writeback_failures, 0u) << "write-behind never ran";
+
+  std::future<void> job = std::async(std::launch::async, [&] {
+    WorkStealingPool pool(2);
+    ooc_igep_floyd_warshall_dag(m, &pool);
+    cache.flush();
+  });
+  const bool finished =
+      job.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  EXPECT_TRUE(cache.async_degraded());
+  // Stopping the worker releases a wedged frame, so the job ends either
+  // way and the failure below is reported instead of a hang.
+  cache.disable_async_io();
+  EXPECT_TRUE(finished) << "job wedged behind the write-behind worker";
+  EXPECT_THROW(job.get(), IoError);
 }
 
 // ---- Numeric breakdown guards ----
@@ -664,9 +701,8 @@ TEST(FaultNumeric, OocGuardedLuThrowsAtTheOffendingPivot) {
   const double amax = guard_max_abs(init);
   const PivotGuard guard(BreakdownPolicy::Throw, default_tiny_pivot(n, amax),
                          amax);
-  SeqInvoker inv;
   try {
-    ooc_igep_lu(m, inv, {.lu_guard = &guard});
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard});
     FAIL() << "expected NumericBreakdownError";
   } catch (const NumericBreakdownError& e) {
     EXPECT_EQ(e.pivot_index(), 0);
@@ -687,8 +723,8 @@ TEST(FaultNumeric, OocGuardedLuBoostsPivotInPlace) {
   const double boost = 0.5 * amax;
   const PivotGuard guard(BreakdownPolicy::Boost, default_tiny_pivot(n, amax),
                          boost);
-  SeqInvoker inv;
-  EXPECT_NO_THROW(ooc_igep_lu(m, inv, {.lu_guard = &guard}));
+  EXPECT_NO_THROW(
+      ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard}));
   EXPECT_EQ(guard.breakdowns(), 1u);
   EXPECT_EQ(guard.boosts(), 1u);
   const Matrix<double> lu = m.to_matrix();

@@ -1,56 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "gep/iterative.hpp"
 #include "gep/typed.hpp"
 #include "parallel/dag_sim.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/task_graph.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
 namespace {
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  TaskGroup g(&pool);
-  for (int i = 0; i < 100; ++i) g.run([&] { count.fetch_add(1); });
-  g.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, NestedForkJoin) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.run([&] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 8; ++j) inner.run([&] { count.fetch_add(1); });
-      inner.wait();
-    });
-  }
-  outer.wait();
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, SingleThreadInline) {
-  ThreadPool pool(1);
-  int count = 0;  // no atomics needed: everything runs inline
-  TaskGroup g(&pool);
-  for (int i = 0; i < 10; ++i) g.run([&] { ++count; });
-  g.wait();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(ParInvoker, SequentialFallbackPreservesOrder) {
-  ParInvoker inv{nullptr};
-  std::vector<int> order;
-  inv.invoke([&] { order.push_back(1); }, [&] { order.push_back(2); },
-             [&] { order.push_back(3); });
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
 
 Matrix<double> random_dist(index_t n, std::uint64_t seed) {
   SplitMix64 g(seed);
@@ -72,6 +30,9 @@ Matrix<double> random_dd(index_t n, std::uint64_t seed) {
   return m;
 }
 
+// The library's multithreaded path: each problem's DAG-runtime driver on
+// a work-stealing pool against the SeqInvoker typed driver, bit for bit
+// (threads = 8 oversubscribes the host).
 class ParallelIGep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelIGep, FloydWarshallMatchesSequential) {
@@ -83,10 +44,9 @@ TEST_P(ParallelIGep, FloydWarshallMatchesSequential) {
   RowMajorStore<double> sst{seq.data(), n, bs};
   igep_floyd_warshall(sinv, sst, n, {bs});
 
-  ThreadPool pool(threads);
-  ParInvoker pinv{&pool};
+  WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_floyd_warshall(pinv, pst, n, {bs});
+  igep_floyd_warshall_dag(&pool, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -99,10 +59,9 @@ TEST_P(ParallelIGep, LUMatchesSequential) {
   RowMajorStore<double> sst{seq.data(), n, bs};
   igep_lu(sinv, sst, n, {bs});
 
-  ThreadPool pool(threads);
-  ParInvoker pinv{&pool};
+  WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_lu(pinv, pst, n, {bs});
+  igep_lu_dag(&pool, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -115,10 +74,9 @@ TEST_P(ParallelIGep, GaussianMatchesSequential) {
   RowMajorStore<double> sst{seq.data(), n, bs};
   igep_gaussian(sinv, sst, n, {bs});
 
-  ThreadPool pool(threads);
-  ParInvoker pinv{&pool};
+  WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_gaussian(pinv, pst, n, {bs});
+  igep_gaussian_dag(&pool, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -138,10 +96,9 @@ TEST_P(ParallelIGep, MatMulMatchesSequential) {
   RowMajorStore<const double> bst{b.data(), n, bs};
   igep_matmul(sinv, csst, ast, bst, n, {bs});
 
-  ThreadPool pool(threads);
-  ParInvoker pinv{&pool};
+  WorkStealingPool pool(threads);
   RowMajorStore<double> cpst{cp.data(), n, bs};
-  igep_matmul(pinv, cpst, ast, bst, n, {bs});
+  igep_matmul_dag(&pool, cpst, ast, bst, n, {bs});
   EXPECT_TRUE(approx_equal(cs, cp, 0.0)) << "threads=" << threads;
 }
 

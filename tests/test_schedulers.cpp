@@ -1,6 +1,6 @@
-// Scheduler tests: the Cilk-style work-stealing pool vs the central
-// queue pool — same fork-join semantics, same I-GEP results — plus the
-// matrix file I/O utility.
+// Scheduler tests: the Cilk-style work-stealing pool and the typed I-GEP
+// engine's Fig. 6 fork-join recursion on it (WsInvoker) — same results
+// as the sequential engine — plus the matrix file I/O utility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 #include "util/matrix_io.hpp"
 #include "util/prng.hpp"
@@ -145,7 +144,7 @@ TEST_P(WsIGep, FloydWarshallMatchesSequential) {
   igep_floyd_warshall(sinv, sst, n, {bs});
 
   WorkStealingPool pool(threads);
-  WsParInvoker pinv{&pool};
+  WsInvoker pinv{&pool};
   RowMajorStore<double> pst{par.data(), n, bs};
   igep_floyd_warshall(pinv, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
@@ -162,18 +161,61 @@ TEST_P(WsIGep, LUMatchesCentralQueuePool) {
   }
   Matrix<double> a = init, b = init;
   {
-    ThreadPool pool(threads);
-    ParInvoker inv{&pool};
+    SeqInvoker inv;
     RowMajorStore<double> st{a.data(), n, bs};
     igep_lu(inv, st, n, {bs});
   }
   {
     WorkStealingPool pool(threads);
-    WsParInvoker inv{&pool};
+    WsInvoker inv{&pool};
     RowMajorStore<double> st{b.data(), n, bs};
     igep_lu(inv, st, n, {bs});
   }
   EXPECT_TRUE(approx_equal(a, b, 0.0)) << "threads=" << threads;
+}
+
+TEST_P(WsIGep, GaussianMatchesSequential) {
+  const int threads = GetParam();
+  const index_t n = 64, bs = 8;
+  SplitMix64 g(35);
+  Matrix<double> init(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(-1, 1);
+    init(i, i) += n + 2.0;
+  }
+  Matrix<double> seq = init, par = init;
+  SeqInvoker sinv;
+  RowMajorStore<double> sst{seq.data(), n, bs};
+  igep_gaussian(sinv, sst, n, {bs});
+
+  WorkStealingPool pool(threads);
+  WsInvoker pinv{&pool};
+  RowMajorStore<double> pst{par.data(), n, bs};
+  igep_gaussian(pinv, pst, n, {bs});
+  EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
+}
+
+TEST_P(WsIGep, MatMulMatchesSequential) {
+  const int threads = GetParam();
+  const index_t n = 64, bs = 8;
+  SplitMix64 g(8);
+  Matrix<double> a(n, n), b(n, n), cs(n, n, 0.0), cp(n, n, 0.0);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j) {
+      a(i, j) = g.uniform(-1, 1);
+      b(i, j) = g.uniform(-1, 1);
+    }
+  SeqInvoker sinv;
+  RowMajorStore<double> csst{cs.data(), n, bs};
+  RowMajorStore<const double> ast{a.data(), n, bs};
+  RowMajorStore<const double> bst{b.data(), n, bs};
+  igep_matmul(sinv, csst, ast, bst, n, {bs});
+
+  WorkStealingPool pool(threads);
+  WsInvoker pinv{&pool};
+  RowMajorStore<double> cpst{cp.data(), n, bs};
+  igep_matmul(pinv, cpst, ast, bst, n, {bs});
+  EXPECT_TRUE(approx_equal(cs, cp, 0.0)) << "threads=" << threads;
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, WsIGep, ::testing::Values(2, 4, 8));
