@@ -241,6 +241,23 @@ int main(int argc, char** argv) {
     // would be unmeasurable). Identical for every leg.
     DiskModel disk;
     disk.realize_fraction = 0.01;
+    // Every leg runs on the same `robust` options, so every leg of a
+    // fault-injected run reports the rate and its recovery counters.
+    auto annotate_robust = [&](const PageCacheStats& s) {
+      if (fault_rate <= 0) return;
+      report.annotate("fault_rate", fault_rate);
+      report.annotate("robust.retries", static_cast<double>(s.io_retries));
+      report.annotate("robust.crc_failures",
+                      static_cast<double>(s.crc_failures));
+      report.annotate("robust.io_hard_failures",
+                      static_cast<double>(s.io_hard_failures));
+      report.annotate("robust.writeback_failures",
+                      static_cast<double>(s.writeback_failures));
+      report.annotate("robust.prefetch_errors",
+                      static_cast<double>(s.prefetch_errors));
+      report.annotate("robust.async_degraded",
+                      static_cast<double>(s.async_degraded));
+    };
     auto leg = [&](const char* label, bool dag) {
       const bool prefetch = dag;
       PageCache cache(M, B, disk, robust);
@@ -319,20 +336,7 @@ int main(int argc, char** argv) {
       report.annotate("io_ratio", obs::io_bound_ratio(io_pass, pred));
       report.annotate("progress_final_fraction", meter.sample().fraction);
       if (t_sync > 0) report.annotate("speedup_vs_sync", t_sync / dt);
-      if (fault_rate > 0) {
-        report.annotate("fault_rate", fault_rate);
-        report.annotate("robust.retries", static_cast<double>(s.io_retries));
-        report.annotate("robust.crc_failures",
-                        static_cast<double>(s.crc_failures));
-        report.annotate("robust.io_hard_failures",
-                        static_cast<double>(s.io_hard_failures));
-        report.annotate("robust.writeback_failures",
-                        static_cast<double>(s.writeback_failures));
-        report.annotate("robust.prefetch_errors",
-                        static_cast<double>(s.prefetch_errors));
-        report.annotate("robust.async_degraded",
-                        static_cast<double>(s.async_degraded));
-      }
+      annotate_robust(s);
       td.add_row({label, Table::num(dt, 3), Table::num(s.io_wait_seconds, 2),
                   Table::integer(static_cast<long long>(s.io())),
                   Table::integer(static_cast<long long>(s.prefetch_hits)),
@@ -455,6 +459,7 @@ int main(int argc, char** argv) {
       report.annotate("ckpt_wall_seconds", cs.wall_seconds);
       report.annotate("ckpt_overhead_fraction",
                       dt > 0 ? cs.wall_seconds / dt : 0.0);
+      annotate_robust(cache.stats());
       td.add_row({"typed sync seq+ckpt", Table::num(dt, 3),
                   Table::num(cache.stats().io_wait_seconds, 2),
                   Table::integer(static_cast<long long>(cache.stats().io())),
@@ -520,6 +525,7 @@ int main(int argc, char** argv) {
       report.annotate("io_predicted", pred.total());
       report.annotate("io_ratio", obs::io_bound_ratio(io_pass, pred));
       report.annotate("progress_final_fraction", meter.sample().fraction);
+      annotate_robust(cache.stats());
     }
     std::printf("typed out-of-core FW (M = n^2/2, B = %llu KB, %d threads):\n",
                 static_cast<unsigned long long>(B / 1024), threads);

@@ -84,13 +84,10 @@ void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
   const bool ik = (i0 == k0), jk = (j0 == k0);
   const BoxKind kind = ik ? (jk ? BoxKind::A : BoxKind::B)
                           : (jk ? BoxKind::C : BoxKind::D);
-  // One relaxed atomic load when tracing is off; a recorded span when on.
+  // The node's one instrumentation bracket (obs/trace.hpp): flight-ring
+  // enter/leave and a watchdog heartbeat always, so a wedged worker's
+  // dump shows exactly which box it never left; a span while tracing.
   obs::ScopedSpan span(box_kind_char(kind), depth, i0, j0, k0, m);
-  // Flight-recorder breadcrumb + stall-watchdog heartbeat: a wedged
-  // worker's dump shows exactly which box it never left.
-  obs::Watchdog::beat_this_thread();
-  obs::FlightRecScope frec(box_kind_char(kind), depth,
-                           static_cast<std::uint64_t>(m));
   if (m <= bs) {
 #if GEP_OBS
     TypedMetrics& tm = typed_metrics();
@@ -141,9 +138,7 @@ void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
 template <class Inv, class Leaf>
 void mm_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
             index_t bs, const Leaf& leaf, int depth = 0) {
-  obs::ScopedSpan span('D', depth, i0, j0, k0, m);
-  obs::Watchdog::beat_this_thread();
-  obs::FlightRecScope frec('D', depth, static_cast<std::uint64_t>(m));
+  obs::ScopedSpan span('D', depth, i0, j0, k0, m);  // as in typed_rec
   if (m <= bs) {
 #if GEP_OBS
     static obs::Counter calls = obs::counter("typed.mm.leaf_calls");

@@ -14,8 +14,11 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <vector>
 
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
+#include "obs/watchdog.hpp"
 
 namespace gep::obs {
 inline namespace on {
@@ -30,7 +33,11 @@ using flightfmt::ThreadHeader;
 constexpr std::uint32_t kRingMask = kRingEvents - 1;
 static_assert((kRingEvents & kRingMask) == 0, "ring size must be pow2");
 
-// One thread's ring. Allocated on the thread's first record() and
+// Spans a thread keeps while tracing (~40 MB). Overflow is counted, not
+// stored, so a runaway trace degrades instead of OOMing the process.
+constexpr std::size_t kMaxSpansPerThread = 1u << 20;
+
+// One thread's record. Allocated on the thread's first record() and
 // intentionally leaked: a dump may run (from a signal handler or the
 // watchdog) after the owning thread exited, and its tail of events is
 // exactly what such a dump is for.
@@ -39,14 +46,20 @@ struct Ring {
   std::atomic<std::uint64_t> seq{0};
   char name[24] = {};
   std::uint32_t tid = 0;
+  Ring* next = nullptr;  // the older ring; set before this one is published
+  // Recursion spans: appended by the owner while tracing, read by the
+  // Tracer while it is stopped.
+  std::vector<TraceEvent> spans;
+  std::uint64_t spans_dropped = 0;
 };
 
-// Fixed global table of ring pointers: iterable from a signal handler
-// with nothing but atomic loads. Threads beyond the cap still record
-// into their own ring; it just never appears in dumps.
-constexpr int kMaxRings = 256;
-std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<int> g_nrings{0};
+// Newest ring first. Rings are only ever pushed, so a walk from one
+// load of the head sees a fixed list — with nothing but atomic loads,
+// which a signal handler may do.
+std::atomic<Ring*> g_head{nullptr};
+std::atomic<std::uint32_t> g_next_tid{0};
+
+Ring* rings() { return g_head.load(std::memory_order_acquire); }
 
 std::atomic<bool> g_stop{false};
 std::atomic<int> g_dumping{0};  // one dump at a time; extras are dropped
@@ -64,11 +77,11 @@ thread_local Ring* t_ring = nullptr;
 
 Ring* ring_slow() {
   Ring* r = new Ring();
-  const int i = g_nrings.fetch_add(1, std::memory_order_acq_rel);
-  r->tid = static_cast<std::uint32_t>(i + 1);
-  std::snprintf(r->name, sizeof r->name, "thread-%d", i + 1);
-  if (i < kMaxRings) {
-    g_rings[i].store(r, std::memory_order_release);
+  r->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
+  r->next = g_head.load(std::memory_order_relaxed);
+  while (!g_head.compare_exchange_weak(r->next, r, std::memory_order_release,
+                                       std::memory_order_relaxed)) {
   }
   t_ring = r;
   return r;
@@ -77,6 +90,13 @@ Ring* ring_slow() {
 inline Ring& this_ring() {
   Ring* r = t_ring;
   return r != nullptr ? *r : *ring_slow();
+}
+
+inline void push(Ring& r, std::uint64_t t_ns, std::uint64_t w) {
+  const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
+  r.ev[s & kRingMask] = {t_ns, w};
+  // Release: a dump thread that reads seq sees the event bytes.
+  r.seq.store(s + 1, std::memory_order_release);
 }
 
 // write(2) the whole buffer, tolerating short writes / EINTR. Returns
@@ -100,26 +120,20 @@ bool write_all(int fd, const void* data, std::size_t len) {
 int dump_events(const char* path, std::int32_t reason) {
   const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return -1;
-  const int nr = std::min(g_nrings.load(std::memory_order_acquire),
-                          kMaxRings);
+  Ring* const head = rings();
+  std::uint32_t nr = 0;
+  for (const Ring* r = head; r != nullptr; r = r->next) ++nr;
   FileHeader fh{};
   std::memcpy(fh.magic, flightfmt::kMagic, sizeof fh.magic);
   fh.version = flightfmt::kVersion;
   fh.reason = reason;
   fh.dump_ns = now_ns();
-  fh.thread_count = static_cast<std::uint32_t>(nr);
+  fh.thread_count = nr;
   if (!write_all(fd, &fh, sizeof fh)) {
     ::close(fd);
     return -1;
   }
-  for (int i = 0; i < nr; ++i) {
-    Ring* r = g_rings[i].load(std::memory_order_acquire);
-    if (r == nullptr) {  // registered but not yet published: empty stub
-      ThreadHeader th{};
-      th.tid = static_cast<std::uint32_t>(i + 1);
-      write_all(fd, &th, sizeof th);
-      continue;
-    }
+  for (const Ring* r = head; r != nullptr; r = r->next) {
     const std::uint64_t seq = r->seq.load(std::memory_order_acquire);
     const std::uint64_t count = seq < kRingEvents ? seq : kRingEvents;
     ThreadHeader th{};
@@ -229,11 +243,7 @@ std::uint64_t now_ns() {
 }
 
 void record(flightfmt::Ev type, std::uint64_t payload) {
-  Ring& r = this_ring();
-  const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
-  r.ev[s & kRingMask] = {now_ns(), flightfmt::pack(type, payload)};
-  // Release: a dump thread that reads seq sees the event bytes.
-  r.seq.store(s + 1, std::memory_order_release);
+  push(this_ring(), now_ns(), flightfmt::pack(type, payload));
 }
 
 void set_thread_name(const char* name) {
@@ -289,16 +299,114 @@ void request_stop() { g_stop.store(true, std::memory_order_release); }
 void reset_stop() { g_stop.store(false, std::memory_order_release); }
 
 void clear() {
-  const int nr = std::min(g_nrings.load(std::memory_order_acquire),
-                          kMaxRings);
-  for (int i = 0; i < nr; ++i) {
-    if (Ring* r = g_rings[i].load(std::memory_order_acquire)) {
-      r->seq.store(0, std::memory_order_release);
-    }
+  for (Ring* r = rings(); r != nullptr; r = r->next) {
+    r->seq.store(0, std::memory_order_release);
   }
 }
 
 }  // namespace flight
+
+// --- recursion spans: the Tracer's storage is the ring ---------------------
+
+namespace {
+using flight::Ring;
+using flight::rings;
+std::atomic<std::uint64_t> g_trace_base_ns{0};
+}  // namespace
+
+std::atomic<bool>& Tracer::active_flag() {
+  static std::atomic<bool> f{false};
+  return f;
+}
+
+std::uint64_t Tracer::base_ns() {
+  return g_trace_base_ns.load(std::memory_order_relaxed);
+}
+
+void Tracer::start() {
+  std::uint64_t unset = 0;
+  g_trace_base_ns.compare_exchange_strong(unset, flight::now_ns(),
+                                          std::memory_order_relaxed);
+  // Release: orders the base store before the flag (see active()).
+  active_flag().store(true, std::memory_order_release);
+}
+
+void Tracer::stop() { active_flag().store(false, std::memory_order_release); }
+
+void Tracer::clear() {
+  for (Ring* r = rings(); r != nullptr; r = r->next) {
+    r->spans.clear();
+    r->spans_dropped = 0;
+  }
+  g_trace_base_ns.store(0, std::memory_order_relaxed);
+}
+
+std::size_t Tracer::event_count() {
+  std::size_t n = 0;
+  for (const Ring* r = rings(); r != nullptr; r = r->next)
+    n += r->spans.size();
+  return n;
+}
+
+std::uint64_t Tracer::dropped_count() {
+  std::uint64_t n = 0;
+  for (const Ring* r = rings(); r != nullptr; r = r->next)
+    n += r->spans_dropped;
+  return n;
+}
+
+std::vector<ThreadTrace> Tracer::snapshot() {
+  std::vector<ThreadTrace> out;
+  for (const Ring* r = rings(); r != nullptr; r = r->next) {
+    if (r->spans.empty() && r->spans_dropped == 0) continue;
+    out.push_back({static_cast<int>(r->tid), r->spans_dropped, r->spans,
+                   std::string(r->name, ::strnlen(r->name, sizeof r->name))});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.tid < b.tid;
+  });
+  return out;
+}
+
+void Tracer::record(const TraceEvent& e) {
+  Ring& r = flight::this_ring();
+  if (r.spans.size() < flight::kMaxSpansPerThread) {
+    r.spans.push_back(e);
+  } else {
+    ++r.spans_dropped;
+  }
+}
+
+// Entry: one clock read feeds rec_enter, the heartbeat and t0. The flag
+// is read before the clock so a span never starts before base_ns().
+ScopedSpan::ScopedSpan(char kind, int depth, long long i0, long long j0,
+                       long long k0, long long m)
+    : rec_(flightfmt::pack_rec(kind, depth, static_cast<std::uint64_t>(m))),
+      on_(Tracer::active()) {
+  const std::uint64_t t = flight::now_ns();
+  flight::push(flight::this_ring(), t,
+               flightfmt::pack(flightfmt::kRecEnter, rec_));
+  Watchdog::beat_this_thread(t);
+  if (!on_) return;
+  e_.kind = kind;
+  e_.depth = static_cast<std::uint16_t>(depth);
+  e_.i0 = static_cast<std::uint32_t>(i0);
+  e_.j0 = static_cast<std::uint32_t>(j0);
+  e_.k0 = static_cast<std::uint32_t>(k0);
+  e_.m = static_cast<std::uint32_t>(m);
+  e_.t0_ns = t - Tracer::base_ns();
+}
+
+// Exit: one clock read feeds rec_leave and t1.
+ScopedSpan::~ScopedSpan() {
+  const std::uint64_t t = flight::now_ns();
+  flight::push(flight::this_ring(), t,
+               flightfmt::pack(flightfmt::kRecLeave, rec_));
+  if (!on_) return;
+  e_.t1_ns = t - Tracer::base_ns();
+  Tracer::record(e_);
+}
+
 }  // namespace on
 }  // namespace gep::obs
 

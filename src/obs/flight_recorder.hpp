@@ -7,6 +7,9 @@
 // with plain stores (no locks, no fences beyond one release store per
 // event), and a dump path walks every ring and writes the last-N events
 // per thread plus a metrics-registry snapshot to a `*.gepdump` file.
+// The ring is the only per-thread record: it also holds the thread's
+// trace spans (obs/trace.hpp), so traces, profiles and dumps share one
+// clock and one thread id. Every thread that ever recorded is dumped.
 // The dump path comes in two flavors:
 //
 //   * programmatic (flight::dump) — used by the stall watchdog and the
@@ -228,9 +231,12 @@ bool stop_requested();
 void request_stop();
 void reset_stop();  // tests / repeated bench legs
 
-// Test support: forget all recorded events (rings stay registered).
+// Test support: forget all recorded events (rings stay registered;
+// recorded spans are the Tracer's to clear).
 void clear();
 
+// The one clock (CLOCK_MONOTONIC, ns): ring events, watchdog beats and
+// trace spans all read it.
 std::uint64_t now_ns();
 
 }  // namespace flight
@@ -238,22 +244,6 @@ std::uint64_t now_ns();
 inline void throw_if_stop_requested() {
   if (flight::stop_requested()) throw JobCancelled();
 }
-
-// Recursion enter/leave bracket for the typed engine: ~a clock read and
-// a 16-byte ring store on each side.
-class FlightRecScope {
- public:
-  FlightRecScope(char kind, int depth, std::uint64_t m)
-      : w_(flightfmt::pack_rec(kind, depth, m)) {
-    flight::record(flightfmt::kRecEnter, w_);
-  }
-  ~FlightRecScope() { flight::record(flightfmt::kRecLeave, w_); }
-  FlightRecScope(const FlightRecScope&) = delete;
-  FlightRecScope& operator=(const FlightRecScope&) = delete;
-
- private:
-  std::uint64_t w_;
-};
 
 }  // namespace on
 
@@ -285,11 +275,6 @@ inline std::uint64_t now_ns() { return 0; }
 }  // namespace flight
 
 inline void throw_if_stop_requested() {}
-
-class FlightRecScope {
- public:
-  FlightRecScope(char, int, std::uint64_t) {}
-};
 
 }  // namespace off
 

@@ -4,15 +4,17 @@
 //                     per-thread sharded, lock-free on the hot path
 //   hw_counters.hpp — perf_event_open wrapper (cycles, instructions,
 //                     L1d / LLC misses) with graceful no-op fallback
-//   trace.hpp       — scoped spans for the typed recursion, exported as
-//                     Chrome trace_event JSON
+//   trace.hpp       — ScopedSpan, the one bracket per recursion node
+//                     (flight-ring enter/leave + watchdog beat, and a
+//                     span while tracing), exported as Chrome JSON
 //   profile.hpp     — aggregation pass over the tracer: per-(kind,depth)
 //                     attribution, folded flamegraph stacks, sampled
 //                     leaf roofline points
 //   json.hpp        — the streaming JSON writer the exporters share
 //   json_read.hpp   — the matching reader (manifest / diff tooling)
-//   flight_recorder.hpp — always-on per-thread event rings with a
-//                     signal-handler *.gepdump path (tools/gep_events)
+//   flight_recorder.hpp — the per-thread record: an always-on event
+//                     ring (signal-handler *.gepdump path, read by
+//                     tools/gep_events) that also holds trace spans
 //   watchdog.hpp    — heartbeat sources + stall monitor (counter ->
 //                     stderr -> flight dump escalation)
 //   progress.hpp    — percent-complete / ETA from the typed engine's

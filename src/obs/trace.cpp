@@ -1,123 +1,17 @@
+// Chrome trace export. The Tracer's span storage and its start/stop
+// state live in flight_recorder.cpp, next to the per-thread rings that
+// hold the spans.
 #include "obs/trace.hpp"
 
 #if GEP_OBS
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "obs/json.hpp"
 
 namespace gep::obs {
 inline namespace on {
-
-namespace {
-
-// Hard cap per thread: ~24 MB of events. Overflow is counted, not stored,
-// so a runaway trace degrades gracefully instead of OOMing the process.
-constexpr std::size_t kMaxEventsPerThread = 1u << 20;
-
-struct ThreadBuf {
-  std::vector<TraceEvent> events;
-  std::uint64_t dropped = 0;
-  int tid = 0;
-};
-
-struct Buffers {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuf>> all;
-  std::uint64_t base_ns = 0;
-};
-
-Buffers& buffers() {
-  static Buffers* b = new Buffers();  // leaked: see Registry::global()
-  return *b;
-}
-
-ThreadBuf& this_thread_buf() {
-  thread_local std::shared_ptr<ThreadBuf> buf = [] {
-    auto b = std::make_shared<ThreadBuf>();
-    Buffers& g = buffers();
-    std::lock_guard<std::mutex> lock(g.mu);
-    b->tid = static_cast<int>(g.all.size());
-    g.all.push_back(b);  // global list keeps it alive past thread exit
-    return b;
-  }();
-  return *buf;
-}
-
-}  // namespace
-
-std::atomic<bool>& Tracer::active_flag() {
-  static std::atomic<bool> f{false};
-  return f;
-}
-
-std::uint64_t Tracer::base_ns() { return buffers().base_ns; }
-
-void Tracer::start() {
-  Buffers& g = buffers();
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.base_ns == 0) g.base_ns = now_ns();
-  }
-  active_flag().store(true, std::memory_order_relaxed);
-}
-
-void Tracer::stop() { active_flag().store(false, std::memory_order_relaxed); }
-
-void Tracer::clear() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (auto& b : g.all) {
-    b->events.clear();
-    b->dropped = 0;
-  }
-  g.base_ns = 0;
-}
-
-std::size_t Tracer::event_count() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  std::size_t n = 0;
-  for (const auto& b : g.all) n += b->events.size();
-  return n;
-}
-
-std::uint64_t Tracer::dropped_count() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  std::uint64_t n = 0;
-  for (const auto& b : g.all) n += b->dropped;
-  return n;
-}
-
-std::vector<ThreadTrace> Tracer::snapshot() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  std::vector<ThreadTrace> out;
-  out.reserve(g.all.size());
-  for (const auto& b : g.all) {
-    if (b->events.empty() && b->dropped == 0) continue;
-    ThreadTrace t;
-    t.tid = b->tid;
-    t.dropped = b->dropped;
-    t.events = b->events;
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-void Tracer::record(const TraceEvent& e) {
-  ThreadBuf& b = this_thread_buf();
-  if (b.events.size() >= kMaxEventsPerThread) {
-    ++b.dropped;
-    return;
-  }
-  b.events.push_back(e);
-}
 
 const char* Tracer::env_path() { return std::getenv("GEP_OBS_TRACE"); }
 
@@ -128,10 +22,18 @@ bool Tracer::write_chrome_trace(const std::string& path) {
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (const auto& b : g.all) {
-    for (const TraceEvent& e : b->events) {
+  for (const ThreadTrace& t : snapshot()) {
+    w.begin_object();
+    w.kv("name", "thread_name");
+    w.kv("ph", "M");  // metadata: names the tid's track
+    w.kv("pid", 1);
+    w.kv("tid", t.tid);
+    w.key("args");
+    w.begin_object();
+    w.kv("name", t.name);
+    w.end_object();
+    w.end_object();
+    for (const TraceEvent& e : t.events) {
       w.begin_object();
       w.key("name");
       char name[2] = {e.kind, 0};
@@ -139,7 +41,7 @@ bool Tracer::write_chrome_trace(const std::string& path) {
       w.kv("cat", "igep");
       w.kv("ph", "X");  // complete event: ts + dur
       w.kv("pid", 1);
-      w.kv("tid", b->tid);
+      w.kv("tid", t.tid);
       w.kv("ts", static_cast<double>(e.t0_ns) / 1e3);  // microseconds
       w.kv("dur", static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
       w.key("args");

@@ -1,11 +1,13 @@
 // Scoped span tracer for the typed I-GEP recursion.
 //
-// Each traced call records {kind, depth, quadrant origin (i0,j0,k0), box
-// side m, thread, t_start, t_end} into a per-thread buffer (no locks on
-// the hot path; one relaxed atomic load when tracing is inactive).
-// Buffers are exported as Chrome trace_event JSON, viewable in
-// chrome://tracing or Perfetto (ui.perfetto.dev) as a flamegraph per
-// thread.
+// obs::ScopedSpan is the one bracket each recursion node opens. Its
+// entry clock read feeds the flight ring's rec_enter event and the
+// watchdog heartbeat, its exit read rec_leave; while the Tracer is
+// active the same stamps make a span {kind, depth, quadrant origin
+// (i0,j0,k0), box side m, t_start, t_end} in the thread's flight ring.
+// The Tracer has no buffers of its own, so a Chrome trace, a /profile
+// folded stack and a .gepdump name a thread by the same ring tid.
+// Spans export as Chrome trace_event JSON (chrome://tracing, Perfetto).
 //
 // Usage:
 //   obs::Tracer::start();
@@ -29,7 +31,6 @@
 
 #if GEP_OBS
 #include <atomic>
-#include <chrono>
 #endif
 
 namespace gep::obs {
@@ -39,7 +40,7 @@ namespace gep::obs {
 inline namespace on {
 
 struct TraceEvent {
-  std::uint64_t t0_ns = 0;  // relative to Tracer::start()
+  std::uint64_t t0_ns = 0;  // flight::now_ns() - Tracer::base_ns()
   std::uint64_t t1_ns = 0;
   std::uint32_t i0 = 0, j0 = 0, k0 = 0, m = 0;
   std::uint16_t depth = 0;
@@ -48,76 +49,62 @@ struct TraceEvent {
 
 // Copy of one thread's recorded spans (Tracer::snapshot()).
 struct ThreadTrace {
-  int tid = 0;
+  int tid = 0;  // the thread's flight-ring tid
   std::uint64_t dropped = 0;
   std::vector<TraceEvent> events;
+  std::string name;  // the ring's name ("ws-worker-3")
 };
 
 class Tracer {
  public:
+  // Acquire: pairs with start()'s release so a recording thread that
+  // sees the flag also sees base_ns().
   static bool active() {
-    return active_flag().load(std::memory_order_relaxed);
+    return active_flag().load(std::memory_order_acquire);
   }
   static void start();  // clears nothing; resumes appending
   static void stop();
-  static void clear();  // drops all recorded events
+  static void clear();  // drops all recorded spans
   static std::size_t event_count();
   static std::uint64_t dropped_count();
 
-  // Copies every thread's buffer out under the registry lock — the input
-  // of the profile aggregation pass (obs/profile.hpp). Call while
+  // Copies every thread's spans out of the rings, ordered by tid — the
+  // input of the profile aggregation pass (obs/profile.hpp). Call while
   // stopped (a racing record() on a live thread may or may not be seen).
   static std::vector<ThreadTrace> snapshot();
 
-  // Appends to the calling thread's buffer (capped; overflow is counted,
+  // Appends to the calling thread's ring (capped; overflow is counted,
   // not stored). Only meaningful while active.
   static void record(const TraceEvent& e);
 
-  // Serializes all buffers as Chrome trace_event JSON. Call while
-  // stopped. Returns false when the file cannot be written.
+  // Serializes all spans as Chrome trace_event JSON, with one
+  // thread_name record per thread. Call while stopped. Returns false
+  // when the file cannot be written.
   static bool write_chrome_trace(const std::string& path);
 
   // Value of $GEP_OBS_TRACE (the trace output path), or nullptr.
   static const char* env_path();
 
-  static std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-  static std::uint64_t base_ns();  // timestamp of the last start()
+  // flight::now_ns() at the first start() since the last clear().
+  static std::uint64_t base_ns();
 
  private:
   static std::atomic<bool>& active_flag();
 };
 
-// RAII span: captures the start time on construction when tracing is
-// active and records the event on destruction.
+// RAII bracket around one recursion node (see the file comment).
+// Defined next to the ring it writes, in flight_recorder.cpp.
 class ScopedSpan {
  public:
   ScopedSpan(char kind, int depth, long long i0, long long j0, long long k0,
-             long long m) {
-    if (!Tracer::active()) return;
-    on_ = true;
-    e_.kind = kind;
-    e_.depth = static_cast<std::uint16_t>(depth);
-    e_.i0 = static_cast<std::uint32_t>(i0);
-    e_.j0 = static_cast<std::uint32_t>(j0);
-    e_.k0 = static_cast<std::uint32_t>(k0);
-    e_.m = static_cast<std::uint32_t>(m);
-    e_.t0_ns = Tracer::now_ns() - Tracer::base_ns();
-  }
-  ~ScopedSpan() {
-    if (!on_) return;
-    e_.t1_ns = Tracer::now_ns() - Tracer::base_ns();
-    Tracer::record(e_);
-  }
+             long long m);
+  ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  TraceEvent e_;
+  std::uint64_t rec_;  // rec_enter / rec_leave payload
+  TraceEvent e_;       // filled only while tracing
   bool on_ = false;
 };
 
@@ -133,6 +120,7 @@ struct ThreadTrace {
   int tid = 0;
   std::uint64_t dropped = 0;
   std::vector<TraceEvent> events;
+  std::string name;
 };
 
 class Tracer {

@@ -272,9 +272,11 @@ void Watchdog::attach_thread(int id) { t_source = id; }
 void Watchdog::detach_thread() { t_source = -1; }
 int Watchdog::attached_thread() { return t_source; }
 
-void Watchdog::beat_this_thread() {
-  if (t_source < 0) return;
-  beat(t_source);
+void Watchdog::beat_this_thread(std::uint64_t now_ns) {
+  if (t_source < 0 || !state().enabled.load(std::memory_order_relaxed)) return;
+  Source& src = state().sources[t_source];
+  src.last_beat_ns.store(now_ns, std::memory_order_relaxed);
+  src.idle.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace on

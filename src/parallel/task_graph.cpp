@@ -178,9 +178,9 @@ TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base) {
 namespace {
 
 // Shared execution state for one run_task_graph call. The leaf-side
-// instrumentation mirrors detail::typed_rec's leaf branch (span, flight
-// breadcrumb, watchdog beat, typed.* counters, sampled hw attribution)
-// so profiles and progress meters read identically across runtimes.
+// instrumentation mirrors detail::typed_rec's leaf branch (the one
+// obs::ScopedSpan bracket, typed.* counters, sampled hw attribution) so
+// profiles and progress meters read identically across runtimes.
 struct DagExec {
   const TaskGraph& g;
   const std::function<void(const BlockTask&)>& leaf;
@@ -235,7 +235,6 @@ struct DagExec {
   }
 
   void exec_leaf(int id) {
-    obs::Watchdog::beat_this_thread();
     const BlockTask t = g.task(id);
     if (was_hinted != nullptr &&
         was_hinted[id].load(std::memory_order_relaxed)) {
@@ -252,7 +251,6 @@ struct DagExec {
                           static_cast<std::uint64_t>(id));
       const char kc = box_kind_char(t.kind);
       obs::ScopedSpan span(kc, t.depth, t.i0, t.j0, t.k0, t.m);
-      obs::FlightRecScope frec(kc, t.depth, static_cast<std::uint64_t>(t.m));
       bump_counters(t);
       {
         obs::ScopedLeafSample sample(kc, static_cast<long long>(t.m));

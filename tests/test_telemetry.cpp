@@ -240,6 +240,85 @@ TEST(TelemetryFlight, DumpToUnwritablePathReturnsFalse) {
   EXPECT_FALSE(obs::flight::dump("/nonexistent-dir/x/y.gepdump"));
 }
 
+// Every thread that ever recorded appears in a dump, however many
+// threads the process has run (and joined) before it.
+TEST(TelemetryFlight, DumpListsThreadsPastFormerTableCap) {
+  constexpr std::uint64_t kBase = 0xCAB0000;
+  constexpr int kThreads = 300;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] { obs::flight::record(ff::kMark, kBase + i); }).join();
+  }
+  const char* path = "telemetry_many.gepdump";
+  ASSERT_TRUE(obs::flight::dump(path));
+  const DecodedDump d = decode_dump(path);
+  ASSERT_TRUE(d.ok);
+  ASSERT_EQ(d.threads.size(), d.hdr.thread_count);
+  std::vector<bool> seen(kThreads, false);
+  for (const DecodedThread& t : d.threads) {
+    for (const ff::Event& e : t.events) {
+      const std::uint64_t p = ff::payload_of(e.w);
+      if (ff::ev_of(e.w) == ff::kMark && p >= kBase && p < kBase + kThreads) {
+        seen[p - kBase] = true;
+      }
+    }
+  }
+  for (int i = 0; i < kThreads; ++i) EXPECT_TRUE(seen[i]) << "thread " << i;
+  std::remove(path);
+}
+
+// A span and the ring's rec_enter/rec_leave pair come from one bracket:
+// same clock stamps, same thread id. While stopped the bracket still
+// writes the ring pair but no span.
+TEST(Tracer, SpanSharesRingTimestampsAndTid) {
+  obs::Tracer::clear();
+  obs::flight::clear();
+  obs::Tracer::start();
+  std::thread([] {
+    obs::flight::set_thread_name("span-traced");
+    obs::ScopedSpan s('B', 3, 0, 64, 0, 32);
+  }).join();
+  obs::Tracer::stop();
+  std::thread([] {
+    obs::flight::set_thread_name("span-untraced");
+    obs::ScopedSpan s('C', 2, 64, 0, 0, 16);
+  }).join();
+  const std::vector<obs::ThreadTrace> snap = obs::Tracer::snapshot();
+  const std::uint64_t base = obs::Tracer::base_ns();
+  const char* path = "telemetry_span.gepdump";
+  ASSERT_TRUE(obs::flight::dump(path));
+  const DecodedDump d = decode_dump(path);
+  obs::Tracer::clear();
+  std::remove(path);
+  ASSERT_TRUE(d.ok);
+
+  const std::uint64_t w_traced = ff::pack_rec('B', 3, 32);
+  const DecodedThread* traced = find_thread(d, "span-traced");
+  ASSERT_NE(traced, nullptr);
+  ASSERT_EQ(traced->events.size(), 2u);
+  const ff::Event& enter = traced->events[0];
+  const ff::Event& leave = traced->events[1];
+  EXPECT_EQ(enter.w, ff::pack(ff::kRecEnter, w_traced));
+  EXPECT_EQ(leave.w, ff::pack(ff::kRecLeave, w_traced));
+
+  ASSERT_EQ(snap.size(), 1u) << "only the traced thread has spans";
+  EXPECT_EQ(static_cast<std::uint32_t>(snap[0].tid), traced->th.tid);
+  EXPECT_EQ(snap[0].name, "span-traced");
+  ASSERT_EQ(snap[0].events.size(), 1u);
+  const obs::TraceEvent& span = snap[0].events[0];
+  EXPECT_EQ(span.kind, 'B');
+  EXPECT_EQ(span.depth, 3);
+  EXPECT_EQ(span.m, 32u);
+  EXPECT_EQ(span.t0_ns + base, enter.t_ns);
+  EXPECT_EQ(span.t1_ns + base, leave.t_ns);
+
+  const std::uint64_t w_untraced = ff::pack_rec('C', 2, 16);
+  const DecodedThread* untraced = find_thread(d, "span-untraced");
+  ASSERT_NE(untraced, nullptr);
+  ASSERT_EQ(untraced->events.size(), 2u);
+  EXPECT_EQ(untraced->events[0].w, ff::pack(ff::kRecEnter, w_untraced));
+  EXPECT_EQ(untraced->events[1].w, ff::pack(ff::kRecLeave, w_untraced));
+}
+
 // ---- signal paths --------------------------------------------------------
 
 TEST(TelemetryFlight, Sigusr1DumpsWithMetricsAndContinues) {
@@ -330,7 +409,8 @@ TEST(TelemetryWatchdog, AttachNestingRestoresPreviousSource) {
       EXPECT_EQ(obs::Watchdog::attached_thread(), inner.id());
     }
     EXPECT_EQ(obs::Watchdog::attached_thread(), outer.id());
-    obs::Watchdog::beat_this_thread();  // must not crash while stopped
+    // Must not crash while stopped.
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }
   EXPECT_EQ(obs::Watchdog::attached_thread(), -1);
 }
@@ -431,7 +511,7 @@ TEST(TelemetryWatchdog, SourceScopeExitLeavesNoStallBehind) {
   {
     obs::WatchdogThreadSource src("test-scope-exit");
     ASSERT_GE(src.id(), 0);
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }  // armed monitor keeps polling; the dead slot must stay silent
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   // Slot reuse: a NEW source taking the freed slot starts from a fresh
@@ -470,7 +550,7 @@ TEST(TelemetryWatchdog, LatencyBurstInPageCacheIsDetected) {
     obs::WatchdogThreadSource src("test-latency");
     ASSERT_GE(src.id(), 0);
     ASSERT_TRUE(obs::Watchdog::start(opts));
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
     cache.pin(f, 0, false);  // blocks ~300ms inside the injector
   }
   obs::Watchdog::stop();
@@ -500,12 +580,12 @@ TEST(TelemetryWatchdog, DefaultFaultLatencyBelowThresholdIsQuiet) {
     obs::WatchdogThreadSource src("test-quiet");
     ASSERT_TRUE(obs::Watchdog::start(opts));
     for (std::uint64_t p = 0; p < 16; ++p) {
-      obs::Watchdog::beat_this_thread();
+      obs::Watchdog::beat_this_thread(obs::flight::now_ns());
       char* b = static_cast<char*>(cache.pin(f, p, true));
       b[0] = static_cast<char>(p);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }
   obs::Watchdog::stop();
   EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)
