@@ -78,7 +78,7 @@ double time_ooc(const Matrix<double>& init, index_t base,
   cache.reset_stats();
   WallTimer t;
   try {
-    ooc_igep_lu_dag(m, nullptr, {.prefetch = false});
+    ooc_igep_lu_dag(m, nullptr, {.lookahead = 0});
   } catch (const obs::JobCancelled&) {
     // SIGINT/SIGTERM mid-leg: flush write-behind so the backing file is
     // consistent, leave a flight dump, and exit with the SIGINT code.

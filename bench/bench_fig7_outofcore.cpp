@@ -300,10 +300,9 @@ int main(int argc, char** argv) {
             // DAG runtime: the scheduler's ready frontier IS the
             // prefetch stream (lookahead tasks -> page hints).
             WorkStealingPool pool(threads);
-            ooc_igep_floyd_warshall_dag(
-                m, &pool, {.lookahead = dag_lookahead_from_env()});
+            ooc_igep_floyd_warshall_dag(m, &pool);
           } else {
-            ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
+            ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0});
           }
           io_pass = cache.stats().io() - io0;
         });
@@ -329,7 +328,7 @@ int main(int argc, char** argv) {
       report.annotate("threads", dag ? threads : 1);
       if (dag) {
         report.annotate("dag_lookahead",
-                        static_cast<double>(dag_lookahead_from_env()));
+                        static_cast<double>(OocDagOptions{}.lookahead));
       }
       report.annotate("io_measured", static_cast<double>(io_pass));
       report.annotate("io_predicted", pred.total());
@@ -433,7 +432,7 @@ int main(int argc, char** argv) {
           }
           resumed = false;
           ooc_igep_floyd_warshall_dag(
-              m, nullptr, {.prefetch = false, .ckpt = ck.get()});
+              m, nullptr, {.lookahead = 0, .ckpt = ck.get()});
         });
       } catch (const obs::JobCancelled&) {
         // Checkpoint-then-exit: flush write-behind, cut a final snapshot
@@ -513,7 +512,7 @@ int main(int argc, char** argv) {
       try {
         report.timed("typed sync seq", n2, bench::flops_fw(n2), [&] {
           const std::uint64_t io0 = cache.stats().io();
-          ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
+          ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0});
           io_pass = cache.stats().io() - io0;
         });
       } catch (const obs::JobCancelled&) {

@@ -69,14 +69,9 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
       with_fw_padding(d, [&](Matrix<double>& m) {
         RowMajorStore<double> st{m.data(), m.rows(),
                                  std::min(opts.base_size, m.rows())};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_floyd_warshall_dag(pool, st, m.rows(), {opts.base_size});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_floyd_warshall(ex, st, m.rows(), {opts.base_size});
+        });
       });
       return;
     case Engine::IGepZ:
@@ -85,14 +80,9 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);  // conversion cost included, as in the paper
         ZStore<double> st{&z};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_floyd_warshall(inv, st, m.rows(), {bs});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_floyd_warshall(ex, st, m.rows(), {bs});
+        });
         z.store(m);
       });
       return;

@@ -74,14 +74,9 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
       with_identity_padding(a, [&](Matrix<double>& m) {
         RowMajorStore<double> st{m.data(), m.rows(),
                                  std::min(opts.base_size, m.rows())};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_gaussian(inv, st, m.rows(), {opts.base_size});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_gaussian_dag(pool, st, m.rows(), {opts.base_size});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_gaussian(ex, st, m.rows(), {opts.base_size});
+        });
       });
       return;
     case Engine::IGepZ:
@@ -90,12 +85,9 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) { igep_gaussian(inv, st, m.rows(), {bs}); },
-            [&](WorkStealingPool* pool) {
-              igep_gaussian_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_gaussian(ex, st, m.rows(), {bs});
+        });
         z.store(m);
       });
       return;
@@ -128,14 +120,9 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
       with_identity_padding(a, [&](Matrix<double>& m) {
         RowMajorStore<double> st{m.data(), m.rows(),
                                  std::min(opts.base_size, m.rows())};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_lu(inv, st, m.rows(), {opts.base_size});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_lu_dag(pool, st, m.rows(), {opts.base_size});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_lu(ex, st, m.rows(), {opts.base_size});
+        });
       });
       return;
     case Engine::IGepZ:
@@ -144,11 +131,9 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        detail::run_typed(
-            opts, [&](SeqInvoker& inv) { igep_lu(inv, st, m.rows(), {bs}); },
-            [&](WorkStealingPool* pool) {
-              igep_lu_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_lu(ex, st, m.rows(), {bs});
+        });
         z.store(m);
       });
       return;

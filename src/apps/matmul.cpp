@@ -56,12 +56,9 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       RowMajorStore<double> cst{c.data(), n, bs};
       RowMajorStore<const double> ast{a.data(), n, bs};
       RowMajorStore<const double> bst{b.data(), n, bs};
-      detail::run_typed(
-          opts,
-          [&](SeqInvoker& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); },
-          [&](WorkStealingPool* pool) {
-            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-          });
+      detail::run_typed(opts, [&](auto& ex) {
+        igep_matmul(ex, cst, ast, bst, n, {bs});
+      });
       return;
     }
     case Engine::IGepZ: {
@@ -79,12 +76,9 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       az.load(a);
       bz.load(b);
       ZStore<double> cst{&cz}, ast{&az}, bst{&bz};
-      detail::run_typed(
-          opts,
-          [&](SeqInvoker& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); },
-          [&](WorkStealingPool* pool) {
-            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-          });
+      detail::run_typed(opts, [&](auto& ex) {
+        igep_matmul(ex, cst, ast, bst, n, {bs});
+      });
       cz.store(c);
       return;
     }

@@ -73,14 +73,9 @@ void floyd_warshall_paths(Matrix<double>& d, Matrix<std::int32_t>& succ,
       const index_t bs = std::min(opts.base_size, np);
       RowMajorStore<double> dst{dp.data(), np, bs};
       RowMajorStore<std::int32_t> sst{sp.data(), np, bs};
-      detail::run_typed(
-          opts,
-          [&](SeqInvoker& inv) {
-            igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
-          },
-          [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_paths_dag(pool, dst, sst, np, {bs});
-          });
+      detail::run_typed(opts, [&](auto& ex) {
+        igep_floyd_warshall_paths(ex, dst, sst, np, {bs});
+      });
       d = unpad(dp, n, n);
       succ = unpad(sp, n, n);
       return;
@@ -137,12 +132,9 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
       with_padding([&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         RowMajorStore<double> st{m.data(), m.rows(), bs};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) { igep_bottleneck(inv, st, m.rows(), {bs}); },
-            [&](WorkStealingPool* pool) {
-              igep_bottleneck_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_bottleneck(ex, st, m.rows(), {bs});
+        });
       });
       return;
     case Engine::IGepZ:
@@ -151,12 +143,9 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) { igep_bottleneck(inv, st, m.rows(), {bs}); },
-            [&](WorkStealingPool* pool) {
-              igep_bottleneck_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_bottleneck(ex, st, m.rows(), {bs});
+        });
         z.store(m);
       });
       return;

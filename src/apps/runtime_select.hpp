@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 
 #include "apps/apps.hpp"
@@ -23,29 +24,28 @@ inline int dag_workers(const RunOptions& opts) {
   return std::min(opts.threads, static_cast<int>(hw));
 }
 
-// Runs one typed I-GEP job: seq(inv) with a SeqInvoker for one thread;
-// otherwise dag(pool) on the DAG runtime, with a work-stealing pool sized
-// by dag_workers(), or dag(nullptr) when that leaves a single worker
+// Runs one typed I-GEP job: job(ex) with a SeqInvoker for one thread;
+// otherwise with a DagExec on a work-stealing pool sized by
+// dag_workers(), or on no pool when that leaves a single worker
 // (run_task_graph then executes in emission order on the calling
-// thread). Both are bit-identical.
-template <class Seq, class Dag>
-void run_typed(const RunOptions& opts, Seq&& seq, Dag&& dag) {
+// thread). All are bit-identical.
+template <class Job>
+void run_typed(const RunOptions& opts, Job&& job) {
   if (opts.threads <= 1) {
     SeqInvoker inv;
-    seq(inv);
+    job(inv);
     return;
   }
   // Multithreaded jobs are long-running entry points: arm the embedded
   // stat server when $GEP_STAT_PORT asks for it (no-op otherwise or when
   // a bench banner already started it; inert stub at GEP_OBS=0).
   obs::StatServer::start_from_env();
-  const int workers = dag_workers(opts);
-  if (workers > 1) {
-    WorkStealingPool pool(workers);
-    dag(&pool);
-  } else {
-    dag(static_cast<WorkStealingPool*>(nullptr));
+  std::unique_ptr<WorkStealingPool> pool;
+  if (dag_workers(opts) > 1) {
+    pool = std::make_unique<WorkStealingPool>(dag_workers(opts));
   }
+  DagExec ex{pool.get()};
+  job(ex);
 }
 
 }  // namespace gep::apps::detail

@@ -53,15 +53,9 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
       with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
         RowMajorStore<std::uint8_t> st{m.data(), m.rows(),
                                        std::min(opts.base_size, m.rows())};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_transitive_closure_dag(pool, st, m.rows(),
-                                          {opts.base_size});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_transitive_closure(ex, st, m.rows(), {opts.base_size});
+        });
       });
       return;
     case Engine::IGepZ:
@@ -70,14 +64,9 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
         ZBlocked<std::uint8_t> z(m.rows(), bs);
         z.load(m);
         ZStore<std::uint8_t> st{&z};
-        detail::run_typed(
-            opts,
-            [&](SeqInvoker& inv) {
-              igep_transitive_closure(inv, st, m.rows(), {bs});
-            },
-            [&](WorkStealingPool* pool) {
-              igep_transitive_closure_dag(pool, st, m.rows(), {bs});
-            });
+        detail::run_typed(opts, [&](auto& ex) {
+          igep_transitive_closure(ex, st, m.rows(), {bs});
+        });
         z.store(m);
       });
       return;

@@ -10,13 +10,15 @@
 // speed.
 //
 // The drivers run the typed recursion's leaves on the dependency-driven
-// runtime (parallel/task_graph.hpp): pool == nullptr executes them on the
-// calling thread in the recursion's sequential order; a work-stealing
-// pool runs them in parallel, bit-identical to the sequential run —
-// acquire()'s pins make the cache safe for concurrent leaves. The
-// scheduler's lookahead names the next ready tasks, which the drivers
-// turn into page hints for the cache's async worker
-// (PageCache::enable_async_io).
+// runtime (parallel/task_graph.hpp) through one shared body,
+// detail::run_ooc_dag; each driver supplies only its kernel call on the
+// pinned tiles. pool == nullptr executes the leaves on the calling
+// thread in the recursion's sequential order; a work-stealing pool runs
+// them in parallel, bit-identical to the sequential run — acquire()'s
+// pins make the cache safe for concurrent leaves. The scheduler's
+// lookahead names the next ready tasks, which the shared body turns
+// into page hints for the cache's async worker
+// (PageCache::enable_async_io); lookahead = 0 sends none.
 //
 // Sizing contract: the page cache must hold the concurrently pinned
 // tiles plus headroom — at least 4 frames per in-flight leaf (X, U, V,
@@ -94,10 +96,9 @@ class PrefetchDeduper {
 
 struct OocDagOptions {
   // Ready tasks announced to the prefetcher ahead of execution; 0
-  // disables prefetch. Only useful with the cache's async worker
+  // disables prefetch hints. Only useful with the cache's async worker
   // running; harmless (counted as dropped) without.
   int lookahead = 4;
-  bool prefetch = true;
   // Pivot guard for ooc_igep_lu_dag (gep/numeric_guard.hpp): every pivot
   // is admitted before division. Throw propagates NumericBreakdownError
   // out of run_task_graph; Boost floors pivots at the A-kind boxes that
@@ -112,117 +113,108 @@ struct OocDagOptions {
   CheckpointCoordinator* ckpt = nullptr;
 };
 
+namespace detail {
+
+// The body every out-of-core driver shares: checks the shapes, binds the
+// checkpoint coordinator, builds the task graph, turns the lookahead
+// window into deduplicated tile hints and runs it. x is the matrix the
+// leaves write; u and v supply the U = (i, k) and V = (k, j) tiles (all
+// three are the same matrix except for matmul). Each leaf pins X, U, V
+// (and the pivot tile W = x(k, k) for GE/LU) and hands the raw tile
+// pointers to kernel(t, x, u, v, w); w is null when not pinned.
+template <class T, class Kernel>
+void run_ooc_dag(DagProblem prob, OocTiledMatrix<T>& x, OocTiledMatrix<T>& u,
+                 OocTiledMatrix<T>& v, WorkStealingPool* pool,
+                 const OocDagOptions& opts, const Kernel& kernel) {
+  check_ooc_typed(x);
+  check_ooc_typed(u);
+  check_ooc_typed(v);
+  const index_t n = x.rows();
+  const index_t bs = x.tile_side();
+  if (u.rows() != n || v.rows() != n || u.tile_side() != bs ||
+      v.tile_side() != bs) {
+    throw std::invalid_argument(
+        "ooc typed engine: operand shapes/tiles must match");
+  }
+  const bool pivot = prob == DagProblem::Gaussian || prob == DagProblem::LU;
+  TaskGraph g = build_typed_task_graph(prob, n, bs);
+  PrefetchDeduper dedupe;
+  TaskRuntimeOptions ro;
+  if (opts.ckpt != nullptr) {
+    opts.ckpt->bind(prob, n, bs,
+                    prob == DagProblem::LU && opts.lu_guard != nullptr);
+    ro.ckpt = opts.ckpt;
+  }
+  if (opts.lookahead > 0) {
+    // Dedupe keys name the matrix: 0 = x, 1 = u, 2 = v when distinct.
+    const int um = &u == &x ? 0 : 1;
+    const int vm = &v == &x ? 0 : 2;
+    ro.lookahead = opts.lookahead;
+    ro.prefetch = [&, um, vm](const BlockTask& t) {
+      const index_t bi = t.i0 / bs, bj = t.j0 / bs, bk = t.k0 / bs;
+      if (dedupe.should_hint(0, bi, bj)) x.prefetch_tile(bi, bj);
+      if (dedupe.should_hint(um, bi, bk)) u.prefetch_tile(bi, bk);
+      if (dedupe.should_hint(vm, bk, bj)) v.prefetch_tile(bk, bj);
+      if (pivot && dedupe.should_hint(0, bk, bk)) x.prefetch_tile(bk, bk);
+    };
+  }
+  run_task_graph(g, pool, [&](const BlockTask& t) {
+    obs::throw_if_stop_requested();
+    auto xp = x.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
+    auto up = u.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
+    auto vp = v.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
+    if (pivot) {
+      auto wp = x.pin_tile(t.k0 / bs, t.k0 / bs, /*for_write=*/false);
+      kernel(t, xp.ptr, up.ptr, vp.ptr, wp.ptr);
+    } else {
+      kernel(t, xp.ptr, up.ptr, vp.ptr, static_cast<T*>(nullptr));
+    }
+  }, ro);
+}
+
+}  // namespace detail
+
 template <class T>
 void ooc_igep_floyd_warshall_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
                                  OocDagOptions opts = {}) {
-  detail::check_ooc_typed(m);
   obs::WatchdogThreadSource wd_src("ooc-fw-dag");
-  const index_t n = m.rows();
   const index_t bs = m.tile_side();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  detail::PrefetchDeduper dedupe;
-  TaskRuntimeOptions ro;
-  if (opts.ckpt != nullptr) {
-    opts.ckpt->bind(DagProblem::FloydWarshall, n, bs, false);
-    ro.ckpt = opts.ckpt;
-  }
-  if (opts.prefetch && opts.lookahead > 0) {
-    ro.lookahead = opts.lookahead;
-    ro.prefetch = [&m, &dedupe, bs](const BlockTask& t) {
-      const index_t bi = t.i0 / bs, bj = t.j0 / bs, bk = t.k0 / bs;
-      if (dedupe.should_hint(0, bi, bj)) m.prefetch_tile(bi, bj);
-      if (dedupe.should_hint(0, bi, bk)) m.prefetch_tile(bi, bk);
-      if (dedupe.should_hint(0, bk, bj)) m.prefetch_tile(bk, bj);
-    };
-  }
-  run_task_graph(g, pool, [&m, bs](const BlockTask& t) {
-    obs::throw_if_stop_requested();
-    auto x = m.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
-    auto u = m.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
-    auto v = m.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
-    kernel_fw(x.ptr, u.ptr, v.ptr, t.m, bs, bs, bs);
-  }, ro);
+  detail::run_ooc_dag(DagProblem::FloydWarshall, m, m, m, pool, opts,
+                      [bs](const BlockTask& t, T* x, T* u, T* v, T*) {
+                        kernel_fw(x, u, v, t.m, bs, bs, bs);
+                      });
 }
 
 template <class T>
 void ooc_igep_lu_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
                      OocDagOptions opts = {}) {
-  detail::check_ooc_typed(m);
   obs::WatchdogThreadSource wd_src("ooc-lu-dag");
-  const index_t n = m.rows();
   const index_t bs = m.tile_side();
-  TaskGraph g = build_typed_task_graph(DagProblem::LU, n, bs);
-  detail::PrefetchDeduper dedupe;
-  TaskRuntimeOptions ro;
-  if (opts.ckpt != nullptr) {
-    opts.ckpt->bind(DagProblem::LU, n, bs, opts.lu_guard != nullptr);
-    ro.ckpt = opts.ckpt;
-  }
-  if (opts.prefetch && opts.lookahead > 0) {
-    ro.lookahead = opts.lookahead;
-    ro.prefetch = [&m, &dedupe, bs](const BlockTask& t) {
-      const index_t bi = t.i0 / bs, bj = t.j0 / bs, bk = t.k0 / bs;
-      if (dedupe.should_hint(0, bi, bj)) m.prefetch_tile(bi, bj);
-      if (dedupe.should_hint(0, bi, bk)) m.prefetch_tile(bi, bk);
-      if (dedupe.should_hint(0, bk, bj)) m.prefetch_tile(bk, bj);
-      if (dedupe.should_hint(0, bk, bk)) m.prefetch_tile(bk, bk);
-    };
-  }
   const PivotGuard* guard = opts.lu_guard;
-  run_task_graph(g, pool, [&m, bs, guard](const BlockTask& t) {
-    obs::throw_if_stop_requested();
-    auto x = m.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
-    auto u = m.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
-    auto v = m.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
-    auto w = m.pin_tile(t.k0 / bs, t.k0 / bs, /*for_write=*/false);
-    const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
-    const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-    if (guard != nullptr) {
-      kernel_lu_guarded(x.ptr, u.ptr, v.ptr, w.ptr, t.m, bs, bs, bs, bs, di,
-                        dj, *guard, t.k0);
-    } else {
-      kernel_lu(x.ptr, u.ptr, v.ptr, w.ptr, t.m, bs, bs, bs, bs, di, dj);
-    }
-  }, ro);
+  detail::run_ooc_dag(
+      DagProblem::LU, m, m, m, pool, opts,
+      [bs, guard](const BlockTask& t, T* x, T* u, T* v, T* w) {
+        const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
+        const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
+        if (guard != nullptr) {
+          kernel_lu_guarded(x, u, v, w, t.m, bs, bs, bs, bs, di, dj, *guard,
+                            t.k0);
+        } else {
+          kernel_lu(x, u, v, w, t.m, bs, bs, bs, bs, di, dj);
+        }
+      });
 }
 
 template <class T>
 void ooc_igep_matmul_dag(OocTiledMatrix<T>& c, OocTiledMatrix<T>& a,
                          OocTiledMatrix<T>& b, WorkStealingPool* pool,
                          OocDagOptions opts = {}) {
-  detail::check_ooc_typed(c);
-  detail::check_ooc_typed(a);
-  detail::check_ooc_typed(b);
-  const index_t n = c.rows();
-  const index_t bs = c.tile_side();
-  if (a.rows() != n || b.rows() != n || a.tile_side() != bs ||
-      b.tile_side() != bs) {
-    throw std::invalid_argument("ooc matmul: shapes/tiles must match");
-  }
   obs::WatchdogThreadSource wd_src("ooc-mm-dag");
-  TaskGraph g = build_typed_task_graph(DagProblem::MatMul, n, bs);
-  detail::PrefetchDeduper dedupe;
-  TaskRuntimeOptions ro;
-  if (opts.ckpt != nullptr) {
-    opts.ckpt->bind(DagProblem::MatMul, n, bs, false);
-    ro.ckpt = opts.ckpt;
-  }
-  if (opts.prefetch && opts.lookahead > 0) {
-    ro.lookahead = opts.lookahead;
-    ro.prefetch = [&c, &a, &b, &dedupe, bs](const BlockTask& t) {
-      const index_t bi = t.i0 / bs, bj = t.j0 / bs, bk = t.k0 / bs;
-      if (dedupe.should_hint(0, bi, bj)) c.prefetch_tile(bi, bj);
-      if (dedupe.should_hint(1, bi, bk)) a.prefetch_tile(bi, bk);
-      if (dedupe.should_hint(2, bk, bj)) b.prefetch_tile(bk, bj);
-    };
-  }
-  run_task_graph(g, pool, [&c, &a, &b, bs](const BlockTask& t) {
-    obs::throw_if_stop_requested();
-    auto x = c.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
-    auto u = a.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
-    auto v = b.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
-    kernel_mm(x.ptr, u.ptr, v.ptr, t.m, bs, bs, bs);
-  }, ro);
+  const index_t bs = c.tile_side();
+  detail::run_ooc_dag(DagProblem::MatMul, c, a, b, pool, opts,
+                      [bs](const BlockTask& t, T* x, T* u, T* v, T*) {
+                        kernel_mm(x, u, v, t.m, bs, bs, bs);
+                      });
 }
 
 }  // namespace gep

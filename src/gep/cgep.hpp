@@ -21,14 +21,21 @@
 // k-phases — the paper's TR variant pushes the same idea to n²+n cells;
 // see DESIGN.md §4(5). Both variants are validated against G on random
 // (f, Σ_G) instances where I-GEP provably fails.
+//
+// The multithreaded variant (rec_parallel, run_cgep_parallel) has no
+// stage lists of its own: it walks detail::for_each_stage, the Fig. 6
+// table in gep/typed.hpp that the typed engine and the DAG builders
+// share, handing each stage to the invoker.
 #pragma once
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "gep/access.hpp"
 #include "gep/functors.hpp"
 #include "gep/igep.hpp"
+#include "gep/typed.hpp"
 #include "gep/update_set.hpp"
 
 namespace gep {
@@ -101,35 +108,15 @@ class CGepEngine {
       box_kernel(i0, j0, k0, m);
       return;
     }
+    // C-GEP prunes by Σ itself (intersects_box), so it walks the
+    // unpruned A/B/C/D stage lists of the shared table.
     const index_t h = m / 2;
-    const index_t ka = k0, kb = k0 + h;
-    auto R = [&](index_t ii, index_t jj, index_t kk) {
-      rec_parallel(inv, ii, jj, kk, h);
-    };
-    const bool ik = (i0 == k0), jk = (j0 == k0);
-    if (ik && jk) {  // A
-      R(i0, j0, ka);
-      inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0, ka); });
-      R(i0 + h, j0 + h, ka);
-      R(i0 + h, j0 + h, kb);
-      inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-      R(i0, j0, kb);
-    } else if (ik) {  // B
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); });
-      inv.invoke([&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-    } else if (jk) {  // C
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0 + h, j0, ka); });
-      inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0, j0 + h, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0 + h, j0, kb); });
-    } else {  // D
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); },
-                 [&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); },
-                 [&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-    }
+    for_each_stage(DagProblem::FloydWarshall, i0, j0, k0, h,
+                   [&](std::initializer_list<Corner> cs) {
+                     inv.stage(cs, [&](const Corner& c) {
+                       rec_parallel(inv, c[0], c[1], c[2], h);
+                     });
+                   });
   }
 
   // Iterative kernel over a box. Operand cells inside the box's own
@@ -252,9 +239,10 @@ void run_cgep(Matrix<T>& c, const F& f, const S& sigma, CGepOptions opts = {},
   run_cgep_with_aux(ca, a0, a1, b0, b1, f, sigma, opts, hook);
 }
 
-// Multithreaded C-GEP (4n²-space) driven by a fork-join Invoker (see
-// parallel/work_stealing.hpp's WsInvoker, or SeqInvoker for sequential
-// staging). Same T_p = O(n³/p + n log² n) bound as parallel I-GEP.
+// Multithreaded C-GEP (4n²-space) driven by a fork-join invoker's
+// stage() (parallel/work_stealing.hpp's WsInvoker, or SeqInvoker for
+// sequential staging) over gep/typed.hpp's Fig. 6 stage table. Same
+// T_p = O(n³/p + n log² n) bound as parallel I-GEP.
 template <class Inv, class T, class F, UpdateSet S>
 void run_cgep_parallel(Inv& inv, Matrix<T>& c, const F& f, const S& sigma,
                        CGepOptions opts = {}) {

@@ -7,29 +7,37 @@
 //   B: 4 stages  par{B,B}; par{D,D}  per k-half,
 //   C: 4 stages  par{C,C}; par{D,D}  per k-half,
 //   D: 2 stages  par{D,D,D,D}        per k-half.
-// Executed sequentially this is exactly Fig. 4/5; executed with a
-// fork-join invoker it is the multithreaded I-GEP of Fig. 6 with span
-// O(n log² n) (Theorem 3.1).
+// detail::for_each_stage below is the one copy of these stage lists
+// (Fig. 6). Three walkers read it: detail::typed_rec (this engine), the
+// multithreaded C-GEP (gep/cgep.hpp, whose staging the paper notes is
+// the same) and the DAG simulator and task-graph builder
+// (parallel/dag_sim.cpp). Executed sequentially the stages are exactly
+// Fig. 4/5; executed with a fork-join invoker they are the multithreaded
+// I-GEP of Fig. 6 with span O(n log² n) (Theorem 3.1).
 //
-// The engine is generic over an Invoker (sequential here; WsInvoker in
-// parallel/work_stealing.hpp runs it on a work-stealing pool), a
-// TileStore (row-major or Z-Morton; layout/zblocked.hpp) and a Problem
-// supplying the pruning rule and the leaf kernel. The library's
-// multithreaded paths run the same leaves, in the same emission order,
-// on the DAG runtime (parallel/task_graph.hpp). Leaves are base-size tiles dispatched to the
-// kernels in kernels.hpp — which themselves runtime-dispatch to the
-// AVX2/FMA implementations in simd/ when the host supports them. The
-// BoxKind matters for more than ordering: the di/dj flags each leaf
-// derives from it tell the kernel wrappers when a tile is fully
-// disjoint (D-kind, di == dj == false), which is what licenses routing
-// GE/LU/MM leaves through the packed-panel GEMM (simd/gemm_leaf.hpp).
-// Those D-kind leaves are in turn Strassen-eligible: gemm_tile[_scaled]
-// consults simd/strassen.hpp first, so a leaf box whose edge clears
-// strassen_min_m() (384 by default — i.e. a base size that large) runs
-// the fused Strassen path with no changes here.
+// Each problem has one driver, igep_<problem>(ex, stores..., n, opts),
+// generic over an executor with one entry point
+// ex.run(prob, n, bs, leaf), where leaf(i0, j0, k0, m, kind) runs one
+// base-size box. SeqInvoker (here) and WsInvoker
+// (parallel/work_stealing.hpp) run typed_rec, calling inv.stage(corners,
+// fn) once per stage; DagExec (parallel/task_graph.hpp) runs the same
+// leaves, in the same emission order, on the DAG runtime. Stores are
+// TileStores (row-major or Z-Morton; layout/zblocked.hpp). Leaves are
+// base-size tiles dispatched to the kernels in kernels.hpp — which
+// themselves runtime-dispatch to the AVX2/FMA implementations in simd/
+// when the host supports them. The BoxKind matters for more than
+// ordering: the di/dj flags each leaf derives from it tell the kernel
+// wrappers when a tile is fully disjoint (D-kind, di == dj == false),
+// which is what licenses routing GE/LU/MM leaves through the
+// packed-panel GEMM (simd/gemm_leaf.hpp). Those D-kind leaves are in
+// turn Strassen-eligible: gemm_tile[_scaled] consults simd/strassen.hpp
+// first, so a leaf box whose edge clears strassen_min_m() (384 by
+// default — i.e. a base size that large) runs the fused Strassen path
+// with no changes here.
 #pragma once
 
-#include <type_traits>
+#include <array>
+#include <initializer_list>
 
 #include "gep/kernels.hpp"
 #include "layout/zblocked.hpp"
@@ -44,15 +52,59 @@ inline char box_kind_char(BoxKind k) {
   return "ABCD"[static_cast<int>(k)];
 }
 
-// Runs callables one after another (the unthreaded engine).
-struct SeqInvoker {
-  template <class... Fs>
-  void invoke(Fs&&... fs) {
-    (static_cast<Fs&&>(fs)(), ...);
-  }
-};
+// The I-GEP instance a recursion runs. It selects the pruning rule
+// (GE/LU's Σ), the stage lists (matmul is pure D), the leaf costs
+// (parallel/dag_sim.hpp) and the counter family the leaves bill to.
+enum class DagProblem { FloydWarshall, Gaussian, LU, MatMul };
+
+// One child call of a recursion node: (i0, j0, k0) of a half-side box.
+using Corner = std::array<index_t, 3>;
 
 namespace detail {
+
+// Aligned ranges are equal or disjoint, so GE/LU's Σ misses a box iff
+// its i-range or j-range lies strictly below the k-range.
+inline bool pruned(DagProblem prob, index_t i0, index_t j0, index_t k0) {
+  if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
+    return i0 < k0 || j0 < k0;
+  }
+  return false;
+}
+
+// The one copy of multithreaded I-GEP's stage lists (Fig. 6): calls
+// stage(corners) once per stage of the box at (i0, j0, k0) with
+// half-side h, in sequential order. The corners of one stage may run in
+// parallel; pruning is left to the caller.
+template <class StageFn>
+void for_each_stage(DagProblem prob, index_t i0, index_t j0, index_t k0,
+                    index_t h, StageFn&& stage) {
+  const index_t ka = k0, kb = k0 + h;
+  const bool ik = (i0 == k0), jk = (j0 == k0);
+  auto S = [&](std::initializer_list<Corner> calls) { stage(calls); };
+  if (prob == DagProblem::MatMul || (!ik && !jk)) {  // D: two 4-way stages
+    S({{i0, j0, ka}, {i0, j0 + h, ka}, {i0 + h, j0, ka},
+       {i0 + h, j0 + h, ka}});
+    S({{i0, j0, kb}, {i0, j0 + h, kb}, {i0 + h, j0, kb},
+       {i0 + h, j0 + h, kb}});
+  } else if (ik && jk) {  // A: A; par{B,C}; D — per k-half
+    S({{i0, j0, ka}});
+    S({{i0, j0 + h, ka}, {i0 + h, j0, ka}});
+    S({{i0 + h, j0 + h, ka}});
+    S({{i0 + h, j0 + h, kb}});
+    S({{i0 + h, j0, kb}, {i0, j0 + h, kb}});
+    S({{i0, j0, kb}});
+  } else if (ik) {  // B: row panels share U; columns split
+    S({{i0, j0, ka}, {i0, j0 + h, ka}});
+    S({{i0 + h, j0, ka}, {i0 + h, j0 + h, ka}});
+    S({{i0 + h, j0, kb}, {i0 + h, j0 + h, kb}});
+    S({{i0, j0, kb}, {i0, j0 + h, kb}});
+  } else {  // C: column panels share V; rows split
+    S({{i0, j0, ka}, {i0 + h, j0, ka}});
+    S({{i0, j0 + h, ka}, {i0 + h, j0 + h, ka}});
+    S({{i0, j0 + h, kb}, {i0 + h, j0 + h, kb}});
+    S({{i0, j0, kb}, {i0 + h, j0, kb}});
+  }
+}
 
 // Per-kind leaf instrumentation (counters live in the global registry).
 // The "updates" counters accumulate the m³ update volume of each leaf
@@ -74,26 +126,46 @@ inline TypedMetrics& typed_metrics() {
        obs::counter("typed.updates.C"), obs::counter("typed.updates.D")}};
   return m;
 }
+
+// Bills one executed leaf box: typed.leaf_calls/updates.<kind>, or
+// typed.mm.{leaf_calls,updates} for matmul. The one place both the
+// recursion and the DAG runtime count leaves.
+inline void bill_leaf(DagProblem prob, BoxKind kind, index_t m) {
+  const std::uint64_t cube = static_cast<std::uint64_t>(m) * m * m;
+  if (prob == DagProblem::MatMul) {
+    static obs::Counter calls = obs::counter("typed.mm.leaf_calls");
+    static obs::Counter upd = obs::counter("typed.mm.updates");
+    calls.inc();
+    upd.inc(cube);
+    return;
+  }
+  TypedMetrics& tm = typed_metrics();
+  const int ki = static_cast<int>(kind);
+  tm.leaf_calls[ki].inc();
+  tm.updates[ki].inc(cube);
+}
 #endif
 
-template <class Inv, class Leaf, class Prune>
-void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
-               index_t bs, const Leaf& leaf, const Prune& prune,
+// The typed recursion: prunes, instruments and runs the leaf of one box,
+// or hands each stage's corners to inv.stage.
+template <class Inv, class Leaf>
+void typed_rec(Inv& inv, DagProblem prob, index_t i0, index_t j0,
+               index_t k0, index_t m, index_t bs, const Leaf& leaf,
                int depth = 0) {
-  if (prune(i0, j0, k0, m)) return;
+  if (pruned(prob, i0, j0, k0)) return;
   const bool ik = (i0 == k0), jk = (j0 == k0);
-  const BoxKind kind = ik ? (jk ? BoxKind::A : BoxKind::B)
-                          : (jk ? BoxKind::C : BoxKind::D);
+  // Matrix multiplication C += A·B is I-GEP's D function over three
+  // disjoint matrices: every box is D (span O(n), end of Section 3).
+  const BoxKind kind = prob == DagProblem::MatMul ? BoxKind::D
+                       : ik ? (jk ? BoxKind::A : BoxKind::B)
+                            : (jk ? BoxKind::C : BoxKind::D);
   // The node's one instrumentation bracket (obs/trace.hpp): flight-ring
   // enter/leave and a watchdog heartbeat always, so a wedged worker's
   // dump shows exactly which box it never left; a span while tracing.
   obs::ScopedSpan span(box_kind_char(kind), depth, i0, j0, k0, m);
   if (m <= bs) {
 #if GEP_OBS
-    TypedMetrics& tm = typed_metrics();
-    const int ki = static_cast<int>(kind);
-    tm.leaf_calls[ki].inc();
-    tm.updates[ki].inc(static_cast<std::uint64_t>(m) * m * m);
+    bill_leaf(prob, kind, m);
 #endif
     // Sampled hardware-counter attribution (obs/profile.hpp): brackets
     // every Nth leaf per thread when the LeafSampler is enabled; one
@@ -103,64 +175,27 @@ void typed_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
     return;
   }
   const index_t h = m / 2;
-  const index_t ka = k0, kb = k0 + h;
-  auto R = [&](index_t ii, index_t jj, index_t kk) {
-    typed_rec(inv, ii, jj, kk, h, bs, leaf, prune, depth + 1);
-  };
-  if (ik && jk) {  // A (Fig. 6 top): A; par{B,C}; D — per k-half
-    R(i0, j0, ka);
-    inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0, ka); });
-    R(i0 + h, j0 + h, ka);
-    R(i0 + h, j0 + h, kb);
-    inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-    R(i0, j0, kb);
-  } else if (ik) {  // B: row panels share U; columns split
-    inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); });
-    inv.invoke([&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-    inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-    inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-  } else if (jk) {  // C: column panels share V; rows split
-    inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0 + h, j0, ka); });
-    inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-    inv.invoke([&] { R(i0, j0 + h, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-    inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0 + h, j0, kb); });
-  } else {  // D: fully disjoint; each k-half is one parallel stage
-    inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); },
-               [&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-    inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); },
-               [&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-  }
-}
-
-// Matrix multiplication C += A·B is I-GEP's D function over three
-// disjoint matrices; both k-halves of every level are single parallel
-// stages, giving span O(n) (end of Section 3).
-template <class Inv, class Leaf>
-void mm_rec(Inv& inv, index_t i0, index_t j0, index_t k0, index_t m,
-            index_t bs, const Leaf& leaf, int depth = 0) {
-  obs::ScopedSpan span('D', depth, i0, j0, k0, m);  // as in typed_rec
-  if (m <= bs) {
-#if GEP_OBS
-    static obs::Counter calls = obs::counter("typed.mm.leaf_calls");
-    static obs::Counter upd = obs::counter("typed.mm.updates");
-    calls.inc();
-    upd.inc(static_cast<std::uint64_t>(m) * m * m);
-#endif
-    obs::ScopedLeafSample sample('D', m);
-    leaf(i0, j0, k0, m);
-    return;
-  }
-  const index_t h = m / 2;
-  auto R = [&](index_t ii, index_t jj, index_t kk) {
-    mm_rec(inv, ii, jj, kk, h, bs, leaf, depth + 1);
-  };
-  for (index_t kk : {k0, k0 + h}) {
-    inv.invoke([&] { R(i0, j0, kk); }, [&] { R(i0, j0 + h, kk); },
-               [&] { R(i0 + h, j0, kk); }, [&] { R(i0 + h, j0 + h, kk); });
-  }
+  for_each_stage(prob, i0, j0, k0, h, [&](std::initializer_list<Corner> cs) {
+    inv.stage(cs, [&](const Corner& c) {
+      typed_rec(inv, prob, c[0], c[1], c[2], h, bs, leaf, depth + 1);
+    });
+  });
 }
 
 }  // namespace detail
+
+// Runs the corners of each stage one after another (the unthreaded
+// engine).
+struct SeqInvoker {
+  template <class F>
+  void stage(std::initializer_list<Corner> corners, const F& f) {
+    for (const Corner& c : corners) f(c);
+  }
+  template <class Leaf>
+  void run(DagProblem prob, index_t n, index_t bs, const Leaf& leaf) {
+    detail::typed_rec(*this, prob, 0, 0, 0, n, bs, leaf);
+  }
+};
 
 // --- Problem drivers -------------------------------------------------------
 
@@ -169,149 +204,117 @@ struct TypedOptions {
 };
 
 // Floyd-Warshall over a TileStore. Σ is the full cube: nothing prunes.
-template <class Inv, class Store>
-void igep_floyd_warshall(Inv& inv, const Store& st, index_t n,
+template <class Ex, class Store>
+void igep_floyd_warshall(Ex&& ex, const Store& st, index_t n,
                          TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-fw");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = st.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
-    T* x = st.tile(i0 / bs, j0 / bs);
-    const T* u = st.tile(i0 / bs, k0 / bs);
-    const T* v = st.tile(k0 / bs, j0 / bs);
-    kernel_fw(x, u, v, m, s, s, s);
-  };
-  auto prune = [](index_t, index_t, index_t, index_t) { return false; };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::FloydWarshall, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+           kernel_fw(st.tile(i0 / bs, j0 / bs), st.tile(i0 / bs, k0 / bs),
+                     st.tile(k0 / bs, j0 / bs), m, s, s, s);
+         });
 }
 
 // Floyd-Warshall with successor tracking: dst holds distances, sst the
-// successor (next hop) indices; both advance in lockstep.
-template <class Inv, class StoreD, class StoreS>
-void igep_floyd_warshall_paths(Inv& inv, const StoreD& dst, const StoreS& sst,
+// successor (next hop) indices; both advance in lockstep. The successor
+// tiles a leaf touches are the X (written) and U (read) tiles of the
+// distance matrix, so the distance recursion's ordering covers them.
+template <class Ex, class StoreD, class StoreS>
+void igep_floyd_warshall_paths(Ex&& ex, const StoreD& dst, const StoreS& sst,
                                index_t n, TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-fw-paths");
-  using T = std::remove_reference_t<decltype(dst.tile(0, 0)[0])>;
-  using I = std::remove_reference_t<decltype(sst.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = dst.tile_stride();
   const index_t ss = sst.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
-    T* x = dst.tile(i0 / bs, j0 / bs);
-    const T* u = dst.tile(i0 / bs, k0 / bs);
-    const T* v = dst.tile(k0 / bs, j0 / bs);
-    I* xs = sst.tile(i0 / bs, j0 / bs);
-    const I* us = sst.tile(i0 / bs, k0 / bs);
-    kernel_fw_paths(x, u, v, xs, us, m, s, s, s, ss, ss);
-  };
-  auto prune = [](index_t, index_t, index_t, index_t) { return false; };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::FloydWarshall, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+           kernel_fw_paths(dst.tile(i0 / bs, j0 / bs),
+                           dst.tile(i0 / bs, k0 / bs),
+                           dst.tile(k0 / bs, j0 / bs),
+                           sst.tile(i0 / bs, j0 / bs),
+                           sst.tile(i0 / bs, k0 / bs), m, s, s, s, ss, ss);
+         });
 }
 
 // Maximum-capacity (bottleneck) paths over a TileStore.
-template <class Inv, class Store>
-void igep_bottleneck(Inv& inv, const Store& st, index_t n,
+template <class Ex, class Store>
+void igep_bottleneck(Ex&& ex, const Store& st, index_t n,
                      TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-bottleneck");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = st.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
-    T* x = st.tile(i0 / bs, j0 / bs);
-    const T* u = st.tile(i0 / bs, k0 / bs);
-    const T* v = st.tile(k0 / bs, j0 / bs);
-    kernel_bottleneck(x, u, v, m, s, s, s);
-  };
-  auto prune = [](index_t, index_t, index_t, index_t) { return false; };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::FloydWarshall, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+           kernel_bottleneck(st.tile(i0 / bs, j0 / bs),
+                             st.tile(i0 / bs, k0 / bs),
+                             st.tile(k0 / bs, j0 / bs), m, s, s, s);
+         });
 }
 
 // Transitive closure (boolean or-and Floyd-Warshall) over a TileStore.
-template <class Inv, class Store>
-void igep_transitive_closure(Inv& inv, const Store& st, index_t n,
+template <class Ex, class Store>
+void igep_transitive_closure(Ex&& ex, const Store& st, index_t n,
                              TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-tc");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = st.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
-    T* x = st.tile(i0 / bs, j0 / bs);
-    const T* u = st.tile(i0 / bs, k0 / bs);
-    const T* v = st.tile(k0 / bs, j0 / bs);
-    kernel_tc(x, u, v, m, s, s, s);
-  };
-  auto prune = [](index_t, index_t, index_t, index_t) { return false; };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::FloydWarshall, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+           kernel_tc(st.tile(i0 / bs, j0 / bs), st.tile(i0 / bs, k0 / bs),
+                     st.tile(k0 / bs, j0 / bs), m, s, s, s);
+         });
 }
 
 // Gaussian elimination without pivoting (Σ: k < i && k < j).
-template <class Inv, class Store>
-void igep_gaussian(Inv& inv, const Store& st, index_t n,
+template <class Ex, class Store>
+void igep_gaussian(Ex&& ex, const Store& st, index_t n,
                    TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-ge");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = st.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m,
-                  BoxKind kind) {
-    T* x = st.tile(i0 / bs, j0 / bs);
-    const T* u = st.tile(i0 / bs, k0 / bs);
-    const T* v = st.tile(k0 / bs, j0 / bs);
-    const T* w = st.tile(k0 / bs, k0 / bs);
-    const bool di = (kind == BoxKind::A || kind == BoxKind::B);
-    const bool dj = (kind == BoxKind::A || kind == BoxKind::C);
-    kernel_ge(x, u, v, w, m, s, s, s, s, di, dj);
-  };
-  // Aligned ranges are equal or disjoint, so Σ misses the box iff the
-  // i-range or the j-range lies strictly below the k-range.
-  auto prune = [](index_t i0, index_t j0, index_t k0, index_t) {
-    return i0 < k0 || j0 < k0;
-  };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::Gaussian, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind kind) {
+           const bool di = (kind == BoxKind::A || kind == BoxKind::B);
+           const bool dj = (kind == BoxKind::A || kind == BoxKind::C);
+           kernel_ge(st.tile(i0 / bs, j0 / bs), st.tile(i0 / bs, k0 / bs),
+                     st.tile(k0 / bs, j0 / bs), st.tile(k0 / bs, k0 / bs), m,
+                     s, s, s, s, di, dj);
+         });
 }
 
 // LU decomposition without pivoting (Σ: k < i && k <= j); multipliers are
 // stored in the strictly lower triangle.
-template <class Inv, class Store>
-void igep_lu(Inv& inv, const Store& st, index_t n, TypedOptions opts = {}) {
+template <class Ex, class Store>
+void igep_lu(Ex&& ex, const Store& st, index_t n, TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-lu");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t s = st.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m,
-                  BoxKind kind) {
-    T* x = st.tile(i0 / bs, j0 / bs);
-    const T* u = st.tile(i0 / bs, k0 / bs);
-    const T* v = st.tile(k0 / bs, j0 / bs);
-    const T* w = st.tile(k0 / bs, k0 / bs);
-    const bool di = (kind == BoxKind::A || kind == BoxKind::B);
-    const bool dj = (kind == BoxKind::A || kind == BoxKind::C);
-    kernel_lu(x, u, v, w, m, s, s, s, s, di, dj);
-  };
-  auto prune = [](index_t i0, index_t j0, index_t k0, index_t) {
-    return i0 < k0 || j0 < k0;
-  };
-  detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+  ex.run(DagProblem::LU, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind kind) {
+           const bool di = (kind == BoxKind::A || kind == BoxKind::B);
+           const bool dj = (kind == BoxKind::A || kind == BoxKind::C);
+           kernel_lu(st.tile(i0 / bs, j0 / bs), st.tile(i0 / bs, k0 / bs),
+                     st.tile(k0 / bs, j0 / bs), st.tile(k0 / bs, k0 / bs), m,
+                     s, s, s, s, di, dj);
+         });
 }
 
 // C += A·B with A, B, C in separate tile stores.
-template <class Inv, class StoreC, class StoreA, class StoreB>
-void igep_matmul(Inv& inv, const StoreC& cst, const StoreA& ast,
+template <class Ex, class StoreC, class StoreA, class StoreB>
+void igep_matmul(Ex&& ex, const StoreC& cst, const StoreA& ast,
                  const StoreB& bst, index_t n, TypedOptions opts = {}) {
   obs::WatchdogThreadSource wd_src("igep-mm");
-  using T = std::remove_reference_t<decltype(cst.tile(0, 0)[0])>;
   const index_t bs = std::min(opts.base_size, n);
   const index_t sc = cst.tile_stride();
   const index_t sa = ast.tile_stride();
   const index_t sb = bst.tile_stride();
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t m) {
-    T* x = cst.tile(i0 / bs, j0 / bs);
-    const T* a = ast.tile(i0 / bs, k0 / bs);
-    const T* b = bst.tile(k0 / bs, j0 / bs);
-    kernel_mm(x, a, b, m, sc, sa, sb);
-  };
-  detail::mm_rec(inv, 0, 0, 0, n, bs, leaf);
+  ex.run(DagProblem::MatMul, n, bs,
+         [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+           kernel_mm(cst.tile(i0 / bs, j0 / bs), ast.tile(i0 / bs, k0 / bs),
+                     bst.tile(k0 / bs, j0 / bs), m, sc, sa, sb);
+         });
 }
 
 }  // namespace gep

@@ -1,9 +1,7 @@
 #include "parallel/dag_sim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <functional>
-#include <initializer_list>
 #include <queue>
 
 namespace gep {
@@ -23,58 +21,6 @@ double box_cost(index_t m, bool di_strict, int j_mode /*0=full,1=strict,2=incl*/
     total += ci * cj;
   }
   return total;
-}
-
-// Aligned ranges are equal or disjoint, so GE/LU's Σ misses a box iff
-// its i-range or j-range lies strictly below the k-range.
-bool pruned(DagProblem prob, index_t i0, index_t j0, index_t k0) {
-  if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
-    return i0 < k0 || j0 < k0;
-  }
-  return false;
-}
-
-using Corner = std::array<index_t, 3>;
-
-// The one copy of multithreaded I-GEP's stage lists (Fig. 6; the same
-// order gep/typed.hpp's typed_rec and mm_rec execute): calls
-// stage(corners) once per stage of the box at (i0, j0, k0) with
-// half-side h, in order. The corners of one stage may run in parallel;
-// pruning is left to the caller.
-template <class StageFn>
-void for_each_stage(DagProblem prob, index_t i0, index_t j0, index_t k0,
-                    index_t h, StageFn&& stage) {
-  const index_t ka = k0, kb = k0 + h;
-  const bool ik = (i0 == k0), jk = (j0 == k0);
-  auto S = [&](std::initializer_list<Corner> calls) { stage(calls); };
-  if (prob == DagProblem::MatMul) {  // pure D: two 4-way stages
-    S({{i0, j0, ka}, {i0, j0 + h, ka}, {i0 + h, j0, ka},
-       {i0 + h, j0 + h, ka}});
-    S({{i0, j0, kb}, {i0, j0 + h, kb}, {i0 + h, j0, kb},
-       {i0 + h, j0 + h, kb}});
-  } else if (ik && jk) {  // A
-    S({{i0, j0, ka}});
-    S({{i0, j0 + h, ka}, {i0 + h, j0, ka}});
-    S({{i0 + h, j0 + h, ka}});
-    S({{i0 + h, j0 + h, kb}});
-    S({{i0 + h, j0, kb}, {i0, j0 + h, kb}});
-    S({{i0, j0, kb}});
-  } else if (ik) {  // B
-    S({{i0, j0, ka}, {i0, j0 + h, ka}});
-    S({{i0 + h, j0, ka}, {i0 + h, j0 + h, ka}});
-    S({{i0 + h, j0, kb}, {i0 + h, j0 + h, kb}});
-    S({{i0, j0, kb}, {i0, j0 + h, kb}});
-  } else if (jk) {  // C
-    S({{i0, j0, ka}, {i0 + h, j0, ka}});
-    S({{i0, j0 + h, ka}, {i0 + h, j0 + h, ka}});
-    S({{i0, j0 + h, kb}, {i0 + h, j0 + h, kb}});
-    S({{i0, j0, kb}, {i0 + h, j0, kb}});
-  } else {  // D
-    S({{i0, j0, ka}, {i0, j0 + h, ka}, {i0 + h, j0, ka},
-       {i0 + h, j0 + h, ka}});
-    S({{i0, j0, kb}, {i0, j0 + h, kb}, {i0 + h, j0, kb},
-       {i0 + h, j0 + h, kb}});
-  }
 }
 
 struct Builder {
@@ -98,10 +44,12 @@ struct Builder {
     if (m <= base) return leaf(i0, j0, k0, m);
     const index_t h = m / 2;
     SPNode node;
-    for_each_stage(prob, i0, j0, k0, h, [&](auto calls) {
+    detail::for_each_stage(prob, i0, j0, k0, h, [&](auto calls) {
       std::vector<SPNode> group;
       for (auto [ii, jj, kk] : calls) {
-        if (!pruned(prob, ii, jj, kk)) group.push_back(rec(ii, jj, kk, h));
+        if (!detail::pruned(prob, ii, jj, kk)) {
+          group.push_back(rec(ii, jj, kk, h));
+        }
       }
       if (!group.empty()) node.stages.push_back(std::move(group));
     });
@@ -110,24 +58,22 @@ struct Builder {
 };
 
 // Depth-first leaf walk in sequential (emission) order.
-struct LeafWalker {
-  DagProblem prob;
-  index_t base;
-  const std::function<void(const LeafBox&)>& fn;
-
-  void rec(index_t i0, index_t j0, index_t k0, index_t m) const {
-    if (m <= base) {
-      fn(LeafBox{i0, j0, k0, m});
-      return;
-    }
-    const index_t h = m / 2;
-    for_each_stage(prob, i0, j0, k0, h, [&](auto calls) {
-      for (auto [ii, jj, kk] : calls) {
-        if (!pruned(prob, ii, jj, kk)) rec(ii, jj, kk, h);
-      }
-    });
+void walk_leaves(DagProblem prob, index_t base, index_t i0, index_t j0,
+                 index_t k0, index_t m,
+                 const std::function<void(const LeafBox&)>& fn) {
+  if (m <= base) {
+    fn(LeafBox{i0, j0, k0, m});
+    return;
   }
-};
+  const index_t h = m / 2;
+  detail::for_each_stage(prob, i0, j0, k0, h, [&](auto calls) {
+    for (auto [ii, jj, kk] : calls) {
+      if (!detail::pruned(prob, ii, jj, kk)) {
+        walk_leaves(prob, base, ii, jj, kk, h, fn);
+      }
+    }
+  });
+}
 
 struct FlatNode {
   double cost = 0;
@@ -207,8 +153,7 @@ SPNode build_igep_dag(DagProblem prob, index_t n, index_t base,
 
 void for_each_leaf(DagProblem prob, index_t n, index_t base,
                    const std::function<void(const LeafBox&)>& fn) {
-  LeafWalker w{prob, std::min(base, n), fn};
-  w.rec(0, 0, 0, n);
+  walk_leaves(prob, std::min(base, n), 0, 0, 0, n, fn);
 }
 
 double dag_work(const SPNode& root) {

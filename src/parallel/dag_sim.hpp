@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "gep/typed.hpp"
 #include "matrix/matrix.hpp"
 
 namespace gep {
@@ -29,8 +30,6 @@ struct SPNode {
 
   bool is_leaf() const { return stages.empty(); }
 };
-
-enum class DagProblem { FloydWarshall, Gaussian, LU, MatMul };
 
 // One base-case box of the recursion (element-index coordinates).
 struct LeafBox {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -179,9 +178,10 @@ namespace {
 
 // Shared execution state for one run_task_graph call. The leaf-side
 // instrumentation mirrors detail::typed_rec's leaf branch (the one
-// obs::ScopedSpan bracket, typed.* counters, sampled hw attribution) so
-// profiles and progress meters read identically across runtimes.
-struct DagExec {
+// obs::ScopedSpan bracket, detail::bill_leaf's counters, sampled hw
+// attribution) so profiles and progress meters read identically across
+// executors.
+struct GraphRun {
   const TaskGraph& g;
   const std::function<void(const BlockTask&)>& leaf;
   const TaskRuntimeOptions& opts;
@@ -190,9 +190,9 @@ struct DagExec {
   std::unique_ptr<std::atomic<bool>[]> was_hinted;
   std::atomic<int> hints_out{0};
 
-  DagExec(const TaskGraph& graph,
-          const std::function<void(const BlockTask&)>& l,
-          const TaskRuntimeOptions& o)
+  GraphRun(const TaskGraph& graph,
+           const std::function<void(const BlockTask&)>& l,
+           const TaskRuntimeOptions& o)
       : g(graph), leaf(l), opts(o) {}
 
   bool hinting() const { return opts.lookahead > 0 && opts.prefetch; }
@@ -214,26 +214,6 @@ struct DagExec {
     }
   }
 
-  void bump_counters(const BlockTask& t) {
-#if GEP_OBS
-    const std::uint64_t cube =
-        static_cast<std::uint64_t>(t.m) * t.m * t.m;
-    if (g.problem == DagProblem::MatMul) {
-      static obs::Counter calls = obs::counter("typed.mm.leaf_calls");
-      static obs::Counter upd = obs::counter("typed.mm.updates");
-      calls.inc();
-      upd.inc(cube);
-    } else {
-      detail::TypedMetrics& tm = detail::typed_metrics();
-      const int ki = static_cast<int>(t.kind);
-      tm.leaf_calls[ki].inc();
-      tm.updates[ki].inc(cube);
-    }
-#else
-    (void)t;
-#endif
-  }
-
   void exec_leaf(int id) {
     const BlockTask t = g.task(id);
     if (was_hinted != nullptr &&
@@ -251,7 +231,9 @@ struct DagExec {
                           static_cast<std::uint64_t>(id));
       const char kc = box_kind_char(t.kind);
       obs::ScopedSpan span(kc, t.depth, t.i0, t.j0, t.k0, t.m);
-      bump_counters(t);
+#if GEP_OBS
+      detail::bill_leaf(g.problem, t.kind, t.m);
+#endif
       {
         obs::ScopedLeafSample sample(kc, static_cast<long long>(t.m));
         leaf(t);
@@ -327,7 +309,7 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
     // cursor hinting `lookahead` tasks past the one about to run. No
     // group machinery: chaining submits through WsTaskGroup::run's
     // inline path would recurse a full DAG deep.
-    DagExec ex(g, leaf, opts);
+    GraphRun ex(g, leaf, opts);
     int cursor = 0;
     for (int id = 0; id < n; ++id) {
       // Resume path: tasks the checkpoint frontier already covers are
@@ -352,7 +334,7 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
     return;
   }
 
-  DagExec ex(g, leaf, opts);
+  GraphRun ex(g, leaf, opts);
   ex.unmet = std::make_unique<std::atomic<int>[]>(
       static_cast<std::size_t>(n));
   for (int id = 0; id < n; ++id) {
@@ -442,13 +424,6 @@ double task_graph_makespan(const TaskGraph& g, int p) {
     }
   }
   return t;
-}
-
-int dag_lookahead_from_env(int fallback) {
-  const char* v = std::getenv("GEP_DAG_LOOKAHEAD");
-  if (v == nullptr || *v == '\0') return fallback;
-  const int k = std::atoi(v);
-  return k >= 0 ? k : fallback;
 }
 
 }  // namespace gep

@@ -27,10 +27,11 @@
 //    workers and the async I/O worker (extmem/ooc_typed.hpp).
 //
 // This is the library's one multithreaded executor: the app entry points
-// run every job with more than one thread on it (apps/runtime_select.hpp)
-// and the out-of-core drivers are built on it. The fork-join recursion of
-// gep/typed.hpp stays as the paper's Fig. 6 and as this DAG's emission
-// order. dag_sim.hpp's greedy scheduler is the quality oracle:
+// run every job with more than one thread on it through DagExec (below;
+// apps/runtime_select.hpp) and the out-of-core drivers are built on it.
+// Its emission order is gep/typed.hpp's stage table (for_each_stage),
+// the one copy of Fig. 6 that the fork-join recursion walks too.
+// dag_sim.hpp's greedy scheduler is the quality oracle:
 // task_graph_makespan() on this DAG must not exceed the fork-join DAG's
 // makespan (fewer constraints, same greedy policy).
 #pragma once
@@ -119,11 +120,12 @@ class TaskGraph {
   double span_ = 0;
 };
 
-// Walks the typed recursion's leaf boxes (dag_sim.hpp's for_each_leaf:
-// gep/typed.hpp's sequential order, per-problem pruning) and derives the
-// edges from each box's block accesses (X/U/V plus W for GE/LU; C/A/B
-// for matmul) by the superscalar analysis above; costs are dag_sim's
-// leaf costs. n must be the leaf side times a power of two.
+// Walks the typed recursion's leaf boxes (dag_sim.hpp's for_each_leaf
+// over gep/typed.hpp's stage table: sequential order, per-problem
+// pruning) and derives the edges from each box's block accesses (X/U/V
+// plus W for GE/LU; C/A/B for matmul) by the superscalar analysis above;
+// costs are dag_sim's leaf costs. n must be the leaf side times a power
+// of two.
 TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base);
 
 // Checkpoint/restart contract between the runtime and a coordinator
@@ -178,142 +180,21 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
 // validation.
 double task_graph_makespan(const TaskGraph& g, int p);
 
-// Lookahead depth for DAG-driven prefetch ($GEP_DAG_LOOKAHEAD).
-int dag_lookahead_from_env(int fallback = 4);
+// Typed I-GEP executor over the DAG runtime (the executor concept of
+// gep/typed.hpp): igep_<problem>(DagExec{pool}, ...) builds the task
+// graph and runs the driver's leaf on it. Same stores, same kernels,
+// same results bit for bit as SeqInvoker; only the schedule differs.
+// pool == nullptr (or a 1-thread pool) runs the DAG sequentially.
+struct DagExec {
+  WorkStealingPool* pool = nullptr;
 
-// --- typed in-core drivers over the DAG runtime ----------------------------
-// Mirrors of the typed.hpp drivers: same stores, same kernels, same
-// results bit for bit; only the schedule differs. pool == nullptr (or a
-// 1-thread pool) runs the DAG sequentially.
-
-template <class Store>
-void igep_floyd_warshall_dag(WorkStealingPool* pool, const Store& st,
-                             index_t n, TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-fw-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    kernel_fw(x, u, v, t.m, s, s, s);
-  });
-}
-
-// Floyd-Warshall with successor tracking (typed.hpp's
-// igep_floyd_warshall_paths): the successor tiles a leaf touches are the
-// X (written) and U (read) tiles of the distance matrix, so the distance
-// graph's edges order them too.
-template <class StoreD, class StoreS>
-void igep_floyd_warshall_paths_dag(WorkStealingPool* pool, const StoreD& dst,
-                                   const StoreS& sst, index_t n,
-                                   TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-fw-paths-dag");
-  using T = std::remove_reference_t<decltype(dst.tile(0, 0)[0])>;
-  using I = std::remove_reference_t<decltype(sst.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = dst.tile_stride();
-  const index_t ss = sst.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = dst.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = dst.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = dst.tile(t.k0 / bs, t.j0 / bs);
-    I* xs = sst.tile(t.i0 / bs, t.j0 / bs);
-    const I* us = sst.tile(t.i0 / bs, t.k0 / bs);
-    kernel_fw_paths(x, u, v, xs, us, t.m, s, s, s, ss, ss);
-  });
-}
-
-template <class Store>
-void igep_transitive_closure_dag(WorkStealingPool* pool, const Store& st,
-                                 index_t n, TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-tc-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    kernel_tc(x, u, v, t.m, s, s, s);
-  });
-}
-
-template <class Store>
-void igep_bottleneck_dag(WorkStealingPool* pool, const Store& st, index_t n,
-                         TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-bottleneck-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    kernel_bottleneck(x, u, v, t.m, s, s, s);
-  });
-}
-
-template <class Store>
-void igep_gaussian_dag(WorkStealingPool* pool, const Store& st, index_t n,
-                       TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-ge-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::Gaussian, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const T* w = st.tile(t.k0 / bs, t.k0 / bs);
-    const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
-    const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-    kernel_ge(x, u, v, w, t.m, s, s, s, s, di, dj);
-  });
-}
-
-template <class Store>
-void igep_lu_dag(WorkStealingPool* pool, const Store& st, index_t n,
-                 TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-lu-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::LU, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const T* w = st.tile(t.k0 / bs, t.k0 / bs);
-    const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
-    const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-    kernel_lu(x, u, v, w, t.m, s, s, s, s, di, dj);
-  });
-}
-
-template <class StoreC, class StoreA, class StoreB>
-void igep_matmul_dag(WorkStealingPool* pool, const StoreC& cst,
-                     const StoreA& ast, const StoreB& bst, index_t n,
-                     TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-mm-dag");
-  using T = std::remove_reference_t<decltype(cst.tile(0, 0)[0])>;
-  const index_t bs = std::min(opts.base_size, n);
-  const index_t sc = cst.tile_stride();
-  const index_t sa = ast.tile_stride();
-  const index_t sb = bst.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::MatMul, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = cst.tile(t.i0 / bs, t.j0 / bs);
-    const T* a = ast.tile(t.i0 / bs, t.k0 / bs);
-    const T* b = bst.tile(t.k0 / bs, t.j0 / bs);
-    kernel_mm(x, a, b, t.m, sc, sa, sb);
-  });
-}
+  template <class Leaf>
+  void run(DagProblem prob, index_t n, index_t bs, const Leaf& leaf) const {
+    run_task_graph(build_typed_task_graph(prob, n, bs), pool,
+                   [&leaf](const BlockTask& t) {
+                     leaf(t.i0, t.j0, t.k0, t.m, t.kind);
+                   });
+  }
+};
 
 }  // namespace gep

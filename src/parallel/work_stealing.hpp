@@ -17,10 +17,12 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "gep/typed.hpp"
 #include "obs/registry.hpp"
 #include "util/prng.hpp"
 
@@ -119,31 +121,29 @@ class WsTaskGroup {
   std::exception_ptr eptr_;
 };
 
-// Invoker over a work-stealing pool (typed I-GEP engine concept): the
-// last callable of each parallel stage runs inline, the rest are forked.
+// Invoker over a work-stealing pool (typed I-GEP executor concept, see
+// gep/typed.hpp): each stage forks all its corners but the last and runs
+// that one inline, then joins; a one-corner stage runs inline.
 struct WsInvoker {
   WorkStealingPool* pool = nullptr;
 
-  template <class... Fs>
-  void invoke(Fs&&... fs) {
-    if (pool == nullptr || pool->threads() <= 1) {
-      (static_cast<Fs&&>(fs)(), ...);
+  template <class F>
+  void stage(std::initializer_list<Corner> corners, const F& f) {
+    if (corners.size() == 1 || pool == nullptr || pool->threads() <= 1) {
+      for (const Corner& c : corners) f(c);
       return;
     }
     WsTaskGroup g(pool);
-    fork_all_but_last(g, static_cast<Fs&&>(fs)...);
+    const Corner* last = corners.end() - 1;
+    for (const Corner* c = corners.begin(); c != last; ++c) {
+      g.run([&f, c] { f(*c); });
+    }
+    f(*last);
     g.wait();
   }
-
- private:
-  template <class F>
-  void fork_all_but_last(WsTaskGroup&, F&& last) {
-    static_cast<F&&>(last)();
-  }
-  template <class F, class... Rest>
-  void fork_all_but_last(WsTaskGroup& g, F&& first, Rest&&... rest) {
-    g.run(std::function<void()>(static_cast<F&&>(first)));
-    fork_all_but_last(g, static_cast<Rest&&>(rest)...);
+  template <class Leaf>
+  void run(DagProblem prob, index_t n, index_t bs, const Leaf& leaf) {
+    detail::typed_rec(*this, prob, 0, 0, 0, n, bs, leaf);
   }
 };
 

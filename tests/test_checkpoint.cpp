@@ -147,7 +147,7 @@ struct Job {
     std::unique_ptr<WorkStealingPool> pool;
     if (dag) pool = std::make_unique<WorkStealingPool>(2);
     OocDagOptions o;
-    o.prefetch = async;
+    if (!async) o.lookahead = 0;
     o.ckpt = ck;
     switch (algo) {
       case Algo::FW:

@@ -385,7 +385,7 @@ TEST(OocTyped, FloydWarshallMatchesInCore) {
   PageCache cache(8 * bs * bs * 8, bs * bs * 8);  // 8 tile frames
   OocTiledMatrix<double> m(cache, n, n, bs);
   m.load(init);
-  ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
+  ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0});
   EXPECT_TRUE(approx_equal(ref, m.to_matrix(), 0.0));
 }
 
@@ -406,7 +406,7 @@ TEST(OocTyped, LUMatchesInCore) {
   PageCache cache(8 * bs * bs * 8, bs * bs * 8);
   OocTiledMatrix<double> m(cache, n, n, bs);
   m.load(init);
-  ooc_igep_lu_dag(m, nullptr, {.prefetch = false});
+  ooc_igep_lu_dag(m, nullptr, {.lookahead = 0});
   EXPECT_TRUE(approx_equal(ref, m.to_matrix(), 0.0));
 }
 
@@ -432,7 +432,7 @@ TEST(OocTyped, MatMulMatchesInCore) {
   a.load(am);
   b.load(bm);
   c.load(Matrix<double>(n, n, 0.0));
-  ooc_igep_matmul_dag(c, a, b, nullptr, {.prefetch = false});
+  ooc_igep_matmul_dag(c, a, b, nullptr, {.lookahead = 0});
   EXPECT_TRUE(approx_equal(ref, c.to_matrix(), 0.0));
 }
 
@@ -447,7 +447,7 @@ TEST(OocTyped, BlockGranularIoMatchesGenericEngine) {
   OocTiledMatrix<double> m1(c1, n, n, bs);
   m1.load(init);
   c1.reset_stats();
-  ooc_igep_floyd_warshall_dag(m1, nullptr, {.prefetch = false});
+  ooc_igep_floyd_warshall_dag(m1, nullptr, {.lookahead = 0});
   const auto typed_io = c1.stats().io();
 
   PageCache c2(M, B);

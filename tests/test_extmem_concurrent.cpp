@@ -163,7 +163,7 @@ TEST(OocTypedParallel, LuMatchesSequentialBitForBit) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_lu_dag(m_seq, nullptr, {.prefetch = false});
+  ooc_igep_lu_dag(m_seq, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m_seq.to_matrix();
 
   for (bool prefetch : {false, true}) {
@@ -172,7 +172,7 @@ TEST(OocTypedParallel, LuMatchesSequentialBitForBit) {
     m.load(init);
     if (prefetch) cache.enable_async_io();
     WorkStealingPool pool(8);
-    ooc_igep_lu_dag(m, &pool, {.prefetch = prefetch});
+    ooc_igep_lu_dag(m, &pool, {.lookahead = prefetch ? 4 : 0});
     if (prefetch) cache.disable_async_io();
     const Matrix<double> got = m.to_matrix();
     for (index_t i = 0; i < n; ++i)
@@ -194,7 +194,7 @@ TEST(OocTypedParallel, FloydWarshallParallelPrefetchMatches) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_floyd_warshall_dag(m_seq, nullptr, {.prefetch = false});
+  ooc_igep_floyd_warshall_dag(m_seq, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m_seq.to_matrix();
 
   PageCache cache(32 * B, B);

@@ -491,7 +491,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_floyd_warshall_dag(m0, nullptr, {.prefetch = false});
+  ooc_igep_floyd_warshall_dag(m0, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -499,7 +499,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = async});
+    ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = async ? 4 : 0});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     const PageCacheStats s = cache.stats();
@@ -517,7 +517,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_lu_dag(m0, nullptr, {.prefetch = false});
+  ooc_igep_lu_dag(m0, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -525,7 +525,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    ooc_igep_lu_dag(m, nullptr, {.prefetch = async});
+    ooc_igep_lu_dag(m, nullptr, {.lookahead = async ? 4 : 0});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -544,7 +544,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
   a0.load(am);
   b0.load(bm);
   c0.load(zero);
-  ooc_igep_matmul_dag(c0, a0, b0, nullptr, {.prefetch = false});
+  ooc_igep_matmul_dag(c0, a0, b0, nullptr, {.lookahead = 0});
   const Matrix<double> ref = c0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -555,7 +555,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
     b.load(bm);
     c.load(zero);
     if (async) cache.enable_async_io();
-    ooc_igep_matmul_dag(c, a, b, nullptr, {.prefetch = async});
+    ooc_igep_matmul_dag(c, a, b, nullptr, {.lookahead = async ? 4 : 0});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, c.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -576,7 +576,7 @@ TEST(FaultOoc, ParallelLuHardFaultPropagatesWithoutHang) {
   inj->set_hard_fault(7, /*reads=*/true, /*writes=*/true);
   {
     WorkStealingPool pool(8);
-    EXPECT_THROW(ooc_igep_lu_dag(m, &pool, {.prefetch = false}), IoError);
+    EXPECT_THROW(ooc_igep_lu_dag(m, &pool, {.lookahead = 0}), IoError);
   }
   // All pins were released and no frame leaked io_busy: the cache is
   // fully usable afterwards.
@@ -702,7 +702,7 @@ TEST(FaultNumeric, OocGuardedLuThrowsAtTheOffendingPivot) {
   const PivotGuard guard(BreakdownPolicy::Throw, default_tiny_pivot(n, amax),
                          amax);
   try {
-    ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard});
+    ooc_igep_lu_dag(m, nullptr, {.lookahead = 0, .lu_guard = &guard});
     FAIL() << "expected NumericBreakdownError";
   } catch (const NumericBreakdownError& e) {
     EXPECT_EQ(e.pivot_index(), 0);
@@ -724,7 +724,7 @@ TEST(FaultNumeric, OocGuardedLuBoostsPivotInPlace) {
   const PivotGuard guard(BreakdownPolicy::Boost, default_tiny_pivot(n, amax),
                          boost);
   EXPECT_NO_THROW(
-      ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard}));
+      ooc_igep_lu_dag(m, nullptr, {.lookahead = 0, .lu_guard = &guard}));
   EXPECT_EQ(guard.breakdowns(), 1u);
   EXPECT_EQ(guard.boosts(), 1u);
   const Matrix<double> lu = m.to_matrix();

@@ -46,7 +46,7 @@ TEST_P(ParallelIGep, FloydWarshallMatchesSequential) {
 
   WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_floyd_warshall_dag(&pool, pst, n, {bs});
+  igep_floyd_warshall(DagExec{&pool}, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -61,7 +61,7 @@ TEST_P(ParallelIGep, LUMatchesSequential) {
 
   WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_lu_dag(&pool, pst, n, {bs});
+  igep_lu(DagExec{&pool}, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -76,7 +76,7 @@ TEST_P(ParallelIGep, GaussianMatchesSequential) {
 
   WorkStealingPool pool(threads);
   RowMajorStore<double> pst{par.data(), n, bs};
-  igep_gaussian_dag(&pool, pst, n, {bs});
+  igep_gaussian(DagExec{&pool}, pst, n, {bs});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
 
@@ -98,7 +98,7 @@ TEST_P(ParallelIGep, MatMulMatchesSequential) {
 
   WorkStealingPool pool(threads);
   RowMajorStore<double> cpst{cp.data(), n, bs};
-  igep_matmul_dag(&pool, cpst, ast, bst, n, {bs});
+  igep_matmul(DagExec{&pool}, cpst, ast, bst, n, {bs});
   EXPECT_TRUE(approx_equal(cs, cp, 0.0)) << "threads=" << threads;
 }
 

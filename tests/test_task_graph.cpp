@@ -129,8 +129,8 @@ TEST(TaskGraphBuild, StructureAndWorkMatchForkJoinDag) {
 }
 
 // The graph's emission order is the typed recursion's sequential leaf
-// order: task ids name exactly the boxes typed_rec / mm_rec run under the
-// SeqInvoker, in the order they run them.
+// order: task ids name exactly the boxes typed_rec runs under the
+// SeqInvoker, in the order it runs them.
 TEST(TaskGraphBuild, EmissionOrderMatchesTypedRec) {
   for (index_t n : {16, 64, 256}) {
     const index_t bs = 8;
@@ -138,23 +138,11 @@ TEST(TaskGraphBuild, EmissionOrderMatchesTypedRec) {
                             DagProblem::LU, DagProblem::MatMul}) {
       std::vector<std::tuple<index_t, index_t, index_t, index_t>> leaves;
       SeqInvoker inv;
-      if (prob == DagProblem::MatMul) {
-        detail::mm_rec(inv, 0, 0, 0, n, bs,
-                       [&](index_t i0, index_t j0, index_t k0, index_t m) {
-                         leaves.emplace_back(i0, j0, k0, m);
-                       });
-      } else {
-        const bool elim =
-            prob == DagProblem::Gaussian || prob == DagProblem::LU;
-        detail::typed_rec(
-            inv, 0, 0, 0, n, bs,
-            [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
-              leaves.emplace_back(i0, j0, k0, m);
-            },
-            [elim](index_t i0, index_t j0, index_t k0, index_t) {
-              return elim && (i0 < k0 || j0 < k0);
-            });
-      }
+      detail::typed_rec(
+          inv, prob, 0, 0, 0, n, bs,
+          [&](index_t i0, index_t j0, index_t k0, index_t m, BoxKind) {
+            leaves.emplace_back(i0, j0, k0, m);
+          });
       const TaskGraph g = build_typed_task_graph(prob, n, bs);
       ASSERT_EQ(static_cast<std::size_t>(g.size()), leaves.size());
       for (int id = 0; id < g.size(); ++id) {
@@ -261,14 +249,14 @@ TEST(TaskGraphRun, FloydWarshallBitIdenticalAcrossThreadCounts) {
   {
     Matrix<double> m = init;  // DAG, sequential engine (no pool)
     RowMajorStore<double> st{m.data(), n, bs};
-    igep_floyd_warshall_dag(nullptr, st, n, {bs});
+    igep_floyd_warshall(DagExec{nullptr}, st, n, {bs});
     expect_bit_identical(m, ref, "dag seq");
   }
   for (int threads : {2, 4, 8}) {
     Matrix<double> m = init;
     RowMajorStore<double> st{m.data(), n, bs};
     WorkStealingPool pool(threads);
-    igep_floyd_warshall_dag(&pool, st, n, {bs});
+    igep_floyd_warshall(DagExec{&pool}, st, n, {bs});
     expect_bit_identical(m, ref, "dag parallel");
   }
 }
@@ -286,12 +274,58 @@ TEST(TaskGraphRun, LuBitIdenticalAcrossThreadCounts) {
     Matrix<double> m = init;
     RowMajorStore<double> st{m.data(), n, bs};
     if (threads == 1) {
-      igep_lu_dag(nullptr, st, n, {bs});
+      igep_lu(DagExec{nullptr}, st, n, {bs});
     } else {
       WorkStealingPool pool(threads);
-      igep_lu_dag(&pool, st, n, {bs});
+      igep_lu(DagExec{&pool}, st, n, {bs});
     }
     expect_bit_identical(m, ref, "lu dag");
+  }
+}
+
+// Both executors bill leaves through one helper (detail::bill_leaf), so
+// a problem run under the SeqInvoker and under DagExec on a 4-thread
+// pool moves every typed.* leaf counter by the same amount.
+TEST(TaskGraphRun, LeafCountersMatchAcrossExecutors) {
+  const index_t n = 64, bs = 8;
+  const char* const names[] = {
+      "typed.leaf_calls.A", "typed.leaf_calls.B", "typed.leaf_calls.C",
+      "typed.leaf_calls.D", "typed.updates.A",    "typed.updates.B",
+      "typed.updates.C",    "typed.updates.D",    "typed.mm.leaf_calls",
+      "typed.mm.updates"};
+  auto billed = [&](auto&& run) {
+    std::vector<std::uint64_t> d;
+    for (const char* nm : names) d.push_back(obs::counter(nm).value());
+    run();
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      d[i] = obs::counter(names[i]).value() - d[i];
+    }
+    return d;
+  };
+  WorkStealingPool pool(4);
+  for (DagProblem prob :
+       {DagProblem::FloydWarshall, DagProblem::LU, DagProblem::MatMul}) {
+    auto job = [&](auto&& ex) {
+      Matrix<double> x = random_dd(n, 41), a = random_dd(n, 42),
+                     b = random_dd(n, 43);
+      RowMajorStore<double> xs{x.data(), n, bs}, as{a.data(), n, bs},
+          bst{b.data(), n, bs};
+      if (prob == DagProblem::FloydWarshall) {
+        igep_floyd_warshall(ex, xs, n, {bs});
+      } else if (prob == DagProblem::LU) {
+        igep_lu(ex, xs, n, {bs});
+      } else {
+        igep_matmul(ex, xs, as, bst, n, {bs});
+      }
+    };
+    const auto seq = billed([&] { job(SeqInvoker{}); });
+    const auto dag = billed([&] { job(DagExec{&pool}); });
+    EXPECT_EQ(seq, dag) << "prob=" << static_cast<int>(prob);
+    if (obs::kEnabled) {
+      std::uint64_t total = 0;
+      for (std::uint64_t v : seq) total += v;
+      EXPECT_GT(total, 0u) << "prob=" << static_cast<int>(prob);
+    }
   }
 }
 
@@ -504,7 +538,7 @@ TEST(OocDag, FloydWarshallPrefetchHitRateMatchesOrBeatsStageHints) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_floyd_warshall_dag(m_seq, nullptr, {.prefetch = false});
+  ooc_igep_floyd_warshall_dag(m_seq, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m_seq.to_matrix();
 
   PageCache c_dag(48 * B, B);
@@ -528,7 +562,7 @@ TEST(OocDag, LuMatchesSequentialBitForBit) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_lu_dag(m_seq, nullptr, {.prefetch = false});
+  ooc_igep_lu_dag(m_seq, nullptr, {.lookahead = 0});
   const Matrix<double> ref = m_seq.to_matrix();
 
   PageCache cache(48 * B, B);
@@ -564,25 +598,6 @@ TEST(OocDag, MatmulMatchesInCore) {
   WorkStealingPool pool(2);
   ooc_igep_matmul_dag(mc, ma, mb, &pool, {.lookahead = 2});
   expect_bit_identical(mc.to_matrix(), ref, "ooc mm dag");
-}
-
-// --- env pins ---------------------------------------------------------------
-
-TEST(TaskGraphEnv, LookaheadFromEnv) {
-  const char* old_la = std::getenv("GEP_DAG_LOOKAHEAD");
-  const std::string saved_la = old_la != nullptr ? old_la : "";
-
-  ::unsetenv("GEP_DAG_LOOKAHEAD");
-  EXPECT_EQ(dag_lookahead_from_env(), 4);
-  EXPECT_EQ(dag_lookahead_from_env(7), 7);
-  ::setenv("GEP_DAG_LOOKAHEAD", "12", 1);
-  EXPECT_EQ(dag_lookahead_from_env(), 12);
-
-  if (old_la != nullptr) {
-    ::setenv("GEP_DAG_LOOKAHEAD", saved_la.c_str(), 1);
-  } else {
-    ::unsetenv("GEP_DAG_LOOKAHEAD");
-  }
 }
 
 }  // namespace

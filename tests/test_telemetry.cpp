@@ -387,12 +387,12 @@ TEST(TelemetryCancel, OocLeavesPollTheStopFlag) {
   Matrix<double> init(n, n, 1.0);
   m.load(init);
   obs::flight::request_stop();
-  EXPECT_THROW(ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false}),
+  EXPECT_THROW(ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0}),
                obs::JobCancelled);
   obs::flight::reset_stop();
   // With the flag cleared the same job completes.
   EXPECT_NO_THROW(
-      ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false}));
+      ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0}));
 }
 
 // ---- watchdog ------------------------------------------------------------
@@ -700,7 +700,7 @@ TEST(TelemetryIoModel, MeasuredOocTrafficIsWithinModelRange) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(dd_matrix(n, 53));
     cache.reset_stats();
-    ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
+    ooc_igep_floyd_warshall_dag(m, nullptr, {.lookahead = 0});
     const std::uint64_t io = cache.stats().page_ins + cache.stats().page_outs;
     return obs::io_bound_ratio(
         io, obs::igep_io_prediction(static_cast<double>(n),
