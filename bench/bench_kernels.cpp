@@ -353,36 +353,19 @@ int main(int argc, char** argv) {
                             m, m, false, false);
                 }},
                m);
-    // The semiring rows measure the explicit simd:: kernels against the
-    // scalar templates directly: in an AVX-512 TU the gep::kernel_*
-    // wrappers deliberately keep fw/bottleneck/tc on the autovectorized
-    // scalar path (GEP_SIMD_ROUTE_SEMIRING), so forcing the level at
-    // the wrapper would measure the same code twice. The end-to-end run
-    // below reflects what the wrappers actually route.
+    // Semiring rows through the dispatch wrappers on disjoint (D-kind)
+    // contiguous tiles: at Avx2 they take the packed semiring
+    // micro-kernel, at Scalar the scalar template.
     bench_case(report, peak,
                {"kernel_fw m=" + std::to_string(m), mmf, upd,
                 [&, m] {
-#if GEP_SIMD_X86
-                  if (simd::active() == simd::Level::Avx2) {
-                    simd::fw_avx2(x.data(), u.data(), v.data(), m, m, m, m);
-                    return;
-                  }
-#endif
-                  scalar::kernel_fw(x.data(), u.data(), v.data(), m, m, m, m);
+                  kernel_fw(x.data(), u.data(), v.data(), m, m, m, m);
                 }},
                m);
     bench_case(report, peak,
                {"kernel_bottleneck m=" + std::to_string(m), mmf, upd,
                 [&, m] {
-#if GEP_SIMD_X86
-                  if (simd::active() == simd::Level::Avx2) {
-                    simd::bottleneck_avx2(x.data(), u.data(), v.data(), m, m,
-                                          m, m);
-                    return;
-                  }
-#endif
-                  scalar::kernel_bottleneck(x.data(), u.data(), v.data(), m,
-                                            m, m, m);
+                  kernel_bottleneck(x.data(), u.data(), v.data(), m, m, m, m);
                 }},
                m);
 
@@ -440,6 +423,43 @@ int main(int argc, char** argv) {
                   }},
                  m);
     }
+  }
+
+  // FW D-kind leaf in place: x, u, v are 64 x 64 tiles of one matrix
+  // with leading dimension 2048, as the typed engine hands them over at
+  // n = 2048 (x = c[I x J], u = c[I x K], v = c[K x J]). Rows 16 KiB
+  // apart share few L1 sets, which the contiguous rows above hide.
+  // Paired alternating timings of the two paths on the same tiles.
+  {
+    const index_t m = 64, ld = 2048;
+    auto c = random_buf(2 * m * ld, 7);
+    double* x = c.data();
+    const double* u = c.data() + m;
+    const double* v = c.data() + m * ld;
+    const std::string label =
+        "kernel_fw_D m=" + std::to_string(m) + " ld=" + std::to_string(ld);
+    auto at = [&](simd::Level level) {
+      return [&, level] {
+        simd::force_level(level);
+        kernel_fw(x, u, v, m, ld, ld, ld);
+      };
+    };
+    const double upd = static_cast<double>(m) * m * m;
+    const std::vector<simd::Level> paths = measurable_paths();
+    if (paths.size() == 2) {
+      auto [ts, tv] = paired_time(at(simd::Level::Scalar),
+                                  at(simd::Level::Avx2));
+      add_run(report, peak, label + " scalar", m, 2 * upd, ts);
+      report.annotate("gupdates_per_s", upd / ts / 1e9);
+      add_run(report, peak, label + " avx2", m, 2 * upd, tv);
+      report.annotate("gupdates_per_s", upd / tv / 1e9);
+      report.annotate("speedup_vs_scalar", ts / tv);
+    } else {
+      const double ts = time_per_call(at(simd::Level::Scalar));
+      add_run(report, peak, label + " scalar", m, 2 * upd, ts);
+      report.annotate("gupdates_per_s", upd / ts / 1e9);
+    }
+    simd::clear_forced_level();
   }
 
   // Cache-aware blocked GEMM through the shared micro-kernel layer.

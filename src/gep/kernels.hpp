@@ -4,17 +4,21 @@
 // from the original iterative base cases). The gep::kernel_* entry
 // points every engine calls are thin dispatch wrappers: for double /
 // float (and byte tiles for TC) they consult simd::active() once per
-// leaf and route to the explicit AVX2/FMA implementations in
-// simd/kernels_avx2.cpp; D-kind (fully disjoint) GE/LU/MM leaves of at
-// least simd::kGemmMinM rows additionally route through the
-// packed-panel GEMM in simd/gemm_leaf.cpp. Everything else — other
-// element types, non-x86 hosts, $GEP_FORCE_SCALAR=1, and the semiring
-// kernels in AVX-512 TUs (GEP_SIMD_ROUTE_SEMIRING below) — runs the
-// scalar templates exactly as before. See docs/KERNELS.md.
+// leaf. At Level::Avx2, D-kind (fully disjoint) leaves run the packed
+// BLIS-style micro-kernels: GE/LU/MM leaves of at least
+// simd::kGemmMinM rows through the FMA GEMM, and FW/bottleneck leaves
+// of every size through the semiring micro-kernel (both in
+// simd/gemm_leaf.cpp). GE/LU/MM boxes of the aliased A/B/C kinds run
+// the explicit AVX2/FMA kernels of simd/kernels_avx2.cpp; FW/bottleneck
+// A/B/C boxes run the scalar templates at every level, as does TC in
+// AVX-512 TUs (GEP_SIMD_ROUTE_SEMIRING below). Everything else — other
+// element types, non-x86 hosts, $GEP_FORCE_SCALAR=1 — runs the scalar
+// templates exactly as before. See docs/KERNELS.md.
 //
 // Numeric contract of the dispatch (tests/test_simd_kernels.cpp):
 //   - fw / bottleneck / tc: AVX2 results are BIT-IDENTICAL to scalar
-//     (same elementwise min/max/or/add, same tie resolution).
+//     (same elementwise min/max/or/add in the same k order per element,
+//     same tie resolution).
 //   - ge / lu / mm: AVX2 uses FMA and a different summation order in
 //     the packed path, so results are tolerance-equivalent to scalar
 //     and deterministic run-to-run at a fixed dispatch level.
@@ -34,11 +38,14 @@
 //   v — the row tile               (c[K x J])
 //   w — the diagonal tile          (c[K x K])
 // `diag_i` means I == K (updates restricted to i > k), `diag_j` means
-// J == K (updates restricted to j >= k resp. j > k). Tiles may alias
-// when ranges coincide; kernels are written to be alias-correct.
+// J == K (updates restricted to j >= k resp. j > k). Tiles are either
+// identical (when ranges coincide) or disjoint; kernels are written to
+// be alias-correct.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -48,18 +55,17 @@
 #include "simd/gemm_leaf.hpp"
 #include "simd/kernels_avx2.hpp"
 
-// The semiring kernels (fw / bottleneck / tc) are pure elementwise
-// sweeps with no reductions across the vector lanes — exactly the shape
-// compilers autovectorize perfectly. In a TU compiled with AVX-512
-// enabled (e.g. -march=native on a 512-bit host, the GEP_NATIVE_ARCH=ON
-// default), the autovectorized scalar template is 512 bits wide and
-// beats the explicit 256-bit kernels, so routing there would be a
-// de-optimization. Route them to AVX2 only where the TU's own codegen
-// cannot already match it; portable (non-native) builds — the reason
-// runtime dispatch exists — still route and win. All TUs of one build
-// share arch flags, so this compile-time fork is ODR-consistent.
-// The FMA kernels (ge / lu / mm) always route: packing + register
-// blocking beat autovectorization at any ISA width.
+// The TC byte kernel is a pure elementwise sweep with no reductions
+// across the vector lanes — exactly the shape compilers autovectorize
+// perfectly. In a TU compiled with AVX-512 enabled (e.g. -march=native
+// on a 512-bit host, the GEP_NATIVE_ARCH=ON default), the
+// autovectorized scalar template is 512 bits wide and beats the explicit
+// 256-bit kernel, so routing there would be a de-optimization. Route it
+// to AVX2 only where the TU's own codegen cannot already match it;
+// portable (non-native) builds still route and win. All TUs of one
+// build share arch flags, so this compile-time fork is ODR-consistent.
+// FW/bottleneck D-kind leaves always route: packing + register blocking
+// keep the X tile in registers, which no sweep width can.
 #if GEP_SIMD_X86 && !defined(__AVX512F__)
 #define GEP_SIMD_ROUTE_SEMIRING 1
 #else
@@ -278,6 +284,46 @@ inline bool leaf_use_avx2() {
 #endif
 }
 
+// True when the m x m tiles at a (row stride sa) and b (row stride sb)
+// share an element; O(m), for debug assertions. Row i of b can only
+// meet the two rows of a nearest at or below its start, r0 and r0 + 1.
+template <class T>
+bool tiles_overlap(const T* a, index_t sa, const T* b, index_t sb,
+                   index_t m) {
+  for (index_t i = 0; i < m; ++i) {
+    const T* row = b + i * sb;
+    const std::ptrdiff_t d = row - a;
+    const index_t r0 = d >= 0 ? d / sa : -((sa - 1 - d) / sa);  // floor
+    for (index_t r = std::max<index_t>(r0, 0); r <= std::min(r0 + 1, m - 1);
+         ++r) {
+      if (row < a + r * sa + m && a + r * sa < row + m) return true;
+    }
+  }
+  return false;
+}
+
+// The semiring route: a D-kind double/float leaf (x disjoint from u and
+// v) at Level::Avx2 runs the packed semiring micro-kernel
+// (simd::semiring_tile) and returns true. Everything else — A/B/C boxes,
+// where x aliases u or v, other element types, Level::Scalar — ticks the
+// scalar counter and returns false for the scalar template. Tiles are
+// either identical or disjoint, which the assertion checks.
+template <class T>
+bool semiring_packed(simd::Semiring sr, T* x, const T* u, const T* v,
+                     index_t m, index_t sx, index_t su, index_t sv) {
+  if constexpr (GEP_SIMD_X86 && simd_vec_type<T>) {
+    if (x != u && x != v && simd::active() == simd::Level::Avx2) {
+      assert(!tiles_overlap(x, sx, u, su, m) &&
+             !tiles_overlap(x, sx, v, sv, m));
+      simd::note_leaf(simd::Level::Avx2);
+      simd::semiring_tile(sr, x, u, v, m, sx, su, sv);
+      return true;
+    }
+  }
+  simd::note_leaf(simd::Level::Scalar);
+  return false;
+}
+
 }  // namespace detail
 
 // --- dispatch wrappers (the names every engine calls) ----------------------
@@ -285,18 +331,10 @@ inline bool leaf_use_avx2() {
 template <class T>
 void kernel_fw(T* x, const T* u, const T* v, index_t m, index_t sx,
                index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::fw_avx2(x, u, v, m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
+  if (detail::semiring_packed(simd::Semiring::MinPlus, x, u, v, m, sx, su,
+                              sv)) {
+    return;
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
   scalar::kernel_fw(x, u, v, m, sx, su, sv);
 }
 
@@ -393,18 +431,10 @@ void kernel_fw_paths(T* x, const T* u, const T* v, I* sx_succ,
 template <class T>
 void kernel_bottleneck(T* x, const T* u, const T* v, index_t m, index_t sx,
                        index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::bottleneck_avx2(x, u, v, m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
+  if (detail::semiring_packed(simd::Semiring::MaxMin, x, u, v, m, sx, su,
+                              sv)) {
+    return;
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
   scalar::kernel_bottleneck(x, u, v, m, sx, su, sv);
 }
 

@@ -21,57 +21,79 @@ constexpr index_t kGemmKc = kMaxPanelK;
 static_assert(kGemmKc <= kMaxPanelK,
               "pack_a_scaled's reciprocal buffer is sized for kMaxPanelK");
 
-// Shared macro-loop: x += alpha * packed(u') * v, where u' is either u
-// or u scaled by 1/diag(w) (Scaled = GE multiplier fold).
-template <class T, bool Scaled>
-void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
-               index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
+// Shared macro-loop over one m x m leaf: per k-chunk, packs B once and
+// A through pack_a_chunk(pc, kcb, dst), then sweeps every micro-tile of
+// x with ukr(kcb, pa, pb, c, mr, nr) (mr x nr < MR x NR on the fringes).
+template <class T, class PackA, class Ukr>
+void macro_loop(T* x, const T* v, index_t m, index_t sx, index_t sv,
+                PackA&& pack_a_chunk, Ukr&& ukr) {
   constexpr index_t MR = kMicroRows;
   constexpr index_t NR = micro_cols<T>();
   const index_t kc = std::min(m, kGemmKc);
   T* pa = packing_buffer<T>(0, static_cast<std::size_t>(packed_a_size<T>(m, kc)));
   T* pb = packing_buffer<T>(1, static_cast<std::size_t>(packed_b_size<T>(kc, m)));
-#if GEP_SIMD_X86
-  const bool use_avx2 = active() == Level::Avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-
   for (index_t pc = 0; pc < m; pc += kc) {
     const index_t kcb = std::min(kc, m - pc);
     pack_b(v + pc * sv, sv, kcb, m, pb);
+    pack_a_chunk(pc, kcb, pa);
+    for (index_t jr = 0; jr < m; jr += NR) {
+      const index_t nr = std::min(NR, m - jr);
+      const T* pbj = pb + (jr / NR) * kcb * NR;
+      for (index_t ir = 0; ir < m; ir += MR) {
+        ukr(kcb, pa + (ir / MR) * kcb * MR, pbj, x + ir * sx + jr,
+            std::min(MR, m - ir), nr);
+      }
+    }
+  }
+}
+
+// x += alpha * packed(u') * v, where u' is either u or u scaled by
+// 1/diag(w) (Scaled = GE multiplier fold).
+template <class T, bool Scaled>
+void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
+               index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
+  constexpr index_t MR = kMicroRows;
+  constexpr index_t NR = micro_cols<T>();
+#if GEP_SIMD_X86
+  const bool use_avx2 = active() == Level::Avx2;
+#endif
+  auto pack = [&](index_t pc, index_t kcb, T* pa) {
     if constexpr (Scaled) {
       pack_a_scaled(u + pc, su, m, kcb, w + pc * sw + pc, sw, pa);
     } else {
       pack_a(u + pc, su, m, kcb, pa);
     }
-    for (index_t jr = 0; jr < m; jr += NR) {
-      const index_t nr = std::min(NR, m - jr);
-      const T* pbj = pb + (jr / NR) * kcb * NR;
-      for (index_t ir = 0; ir < m; ir += MR) {
-        const index_t mr = std::min(MR, m - ir);
-        const T* pai = pa + (ir / MR) * kcb * MR;
-        T* cij = x + ir * sx + jr;
+  };
+  macro_loop(x, v, m, sx, sv, pack,
+             [&](index_t kcb, const T* pai, const T* pbj, T* cij, index_t mr,
+                 index_t nr) {
+               const bool full = mr == MR && nr == NR;
 #if GEP_SIMD_X86
-        if (use_avx2) {
-          if (mr == MR && nr == NR) {
-            ukr_avx2(kcb, alpha, pai, pbj, cij, sx);
-          } else {
-            ukr_avx2_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
-          }
-          continue;
-        }
+               if (use_avx2) {
+                 full ? ukr_avx2(kcb, alpha, pai, pbj, cij, sx)
+                      : ukr_avx2_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
+                 return;
+               }
 #endif
-        if (mr == MR && nr == NR) {
-          ukr_scalar(kcb, alpha, pai, pbj, cij, sx);
-        } else {
-          ukr_scalar_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
-        }
-      }
-    }
-  }
-  (void)use_avx2;
+               full ? ukr_scalar(kcb, alpha, pai, pbj, cij, sx)
+                    : ukr_scalar_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
+             });
 }
+
+#if GEP_SIMD_X86
+template <class T>
+void semiring_impl(Semiring sr, T* x, const T* u, const T* v, index_t m,
+                   index_t sx, index_t su, index_t sv) {
+  macro_loop(x, v, m, sx, sv,
+             [&](index_t pc, index_t kcb, T* pa) {
+               pack_a(u + pc, su, m, kcb, pa);
+             },
+             [&](index_t kcb, const T* pai, const T* pbj, T* cij, index_t mr,
+                 index_t nr) {
+               ukr_semiring_avx2(sr, kcb, pai, pbj, cij, sx, mr, nr);
+             });
+}
+#endif
 
 }  // namespace
 
@@ -102,5 +124,16 @@ void gemm_tile_scaled(float* x, const float* u, const float* v,
   if (strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw)) return;
   gemm_impl<float, true>(x, u, v, w, m, sx, su, sv, sw, -1.0f);
 }
+
+#if GEP_SIMD_X86
+void semiring_tile(Semiring sr, double* x, const double* u, const double* v,
+                   index_t m, index_t sx, index_t su, index_t sv) {
+  semiring_impl(sr, x, u, v, m, sx, su, sv);
+}
+void semiring_tile(Semiring sr, float* x, const float* u, const float* v,
+                   index_t m, index_t sx, index_t su, index_t sv) {
+  semiring_impl(sr, x, u, v, m, sx, su, sv);
+}
+#endif
 
 }  // namespace gep::simd

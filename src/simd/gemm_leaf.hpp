@@ -7,13 +7,15 @@
 // reused across every A row panel — the "B-panel reuse across the
 // k-sweep" that makes the leaf compute-bound.
 //
-// gep/kernels.hpp routes here only for tiles with m >= gemm_min_m();
-// below that the packing overhead loses to the plain vectorized sweep.
-// The threshold depends only on m, so a run's numeric path is
-// deterministic.
+// gep/kernels.hpp routes GEMM leaves here only for tiles with
+// m >= gemm_min_m(); below that the packing overhead loses to the plain
+// vectorized sweep. The threshold depends only on m, so a run's numeric
+// path is deterministic. Semiring leaves route at every m: keeping the
+// X tile in registers wins even at m = 32.
 #pragma once
 
 #include "matrix/matrix.hpp"
+#include "simd/microkernel.hpp"
 
 namespace gep::simd {
 
@@ -44,5 +46,16 @@ void gemm_tile_scaled(double* x, const double* u, const double* v,
 void gemm_tile_scaled(float* x, const float* u, const float* v,
                       const float* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw);
+
+// D-kind semiring leaf: x(m x m) = x ⊕ (u ⊗ v) under `sr`, through the
+// same packing and macro loop as gemm_tile with the AVX2 semiring
+// micro-kernel (defined on x86 only; call it at Level::Avx2). Per
+// element the k order is the scalar template's, so results are
+// bit-identical to it. x must not alias u or v (they may alias each
+// other).
+void semiring_tile(Semiring sr, double* x, const double* u, const double* v,
+                   index_t m, index_t sx, index_t su, index_t sv);
+void semiring_tile(Semiring sr, float* x, const float* u, const float* v,
+                   index_t m, index_t sx, index_t su, index_t sv);
 
 }  // namespace gep::simd

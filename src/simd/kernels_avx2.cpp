@@ -3,13 +3,16 @@
 // Compiled with per-function `target("avx2,fma")` attributes so this TU
 // builds under any -march (including the portable -DGEP_NATIVE_ARCH=OFF
 // CI leg); the gep/kernels.hpp wrappers only call in here after
-// simd::active() confirmed the host executes AVX2+FMA.
+// simd::active() confirmed the host executes AVX2+FMA. Every kernel is
+// written once over Vec<T> and instantiated for double and float at
+// the end of the file.
 //
 // Correctness contracts (verified by tests/test_simd_kernels.cpp):
-//  - fw / bottleneck / tc are BIT-EXACT vs the scalar templates: the
-//    vector lanes perform the identical elementwise add/min/max/or, and
-//    min/max operand order is chosen so ties resolve like std::min /
-//    std::max (second operand = the old x value).
+//  - the semiring micro-kernel and tc are BIT-EXACT vs the scalar
+//    templates: the vector lanes perform the identical elementwise
+//    add/min/max/or in the same k order, and min/max operand order is
+//    chosen so ties resolve like std::min / std::max (second operand =
+//    the old x value).
 //  - ge / lu / micro-kernels use FMA, so they are tolerance-equivalent
 //    to scalar (documented in docs/KERNELS.md) and deterministic
 //    run-to-run at fixed dispatch.
@@ -24,147 +27,71 @@
 
 #include "gep/numeric_guard.hpp"
 
-#define GEP_AVX2_FN __attribute__((target("avx2,fma")))
+// Helpers that take or return vectors are always inlined: an out-of-line
+// copy would pass ymm values under an ABI the portable build lacks.
+#define GEP_AVX2_INLINE \
+  __attribute__((target("avx2,fma"), always_inline)) inline
 
 namespace gep::simd {
 namespace {
 
-// --- row primitives --------------------------------------------------------
+// One 256-bit vector of T and the lane operations the kernels use.
+template <class T>
+struct Vec;
 
-// x[0..len) = min(x, t + v)  — elementwise, tie keeps x (std::min order).
-GEP_AVX2_FN inline void minplus_row(double* x, const double* v, double t,
-                                    index_t len) {
-  const __m256d vt = _mm256_set1_pd(t);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    const __m256d cand = _mm256_add_pd(vt, _mm256_loadu_pd(v + j));
-    _mm256_storeu_pd(x + j, _mm256_min_pd(cand, _mm256_loadu_pd(x + j)));
-  }
-  for (; j < len; ++j) {
-    const double cand = t + v[j];
-    if (cand < x[j]) x[j] = cand;
-  }
+#define GEP_VEC(T, V, S, B)                                                   \
+  template <>                                                                 \
+  struct Vec<T> {                                                             \
+    using type = V;                                                           \
+    static constexpr index_t kLanes = 32 / sizeof(T);                         \
+    GEP_AVX2_INLINE static V load(const T* p) { return _mm256_loadu_##S(p); } \
+    GEP_AVX2_INLINE static void store(T* p, V a) { _mm256_storeu_##S(p, a); } \
+    GEP_AVX2_INLINE static V bcast(const T* p) {                              \
+      return _mm256_broadcast_##B(p);                                         \
+    }                                                                         \
+    GEP_AVX2_INLINE static V set1(T a) { return _mm256_set1_##S(a); }         \
+    GEP_AVX2_INLINE static V zero() { return _mm256_setzero_##S(); }          \
+    GEP_AVX2_INLINE static V plus(V a, V b) { return _mm256_add_##S(a, b); }  \
+    GEP_AVX2_INLINE static V min(V a, V b) { return _mm256_min_##S(a, b); }   \
+    GEP_AVX2_INLINE static V max(V a, V b) { return _mm256_max_##S(a, b); }   \
+    GEP_AVX2_INLINE static V fmadd(V a, V b, V c) {                           \
+      return _mm256_fmadd_##S(a, b, c);                                       \
+    }                                                                         \
+    GEP_AVX2_INLINE static V fnmadd(V a, V b, V c) {                          \
+      return _mm256_fnmadd_##S(a, b, c);                                      \
+    }                                                                         \
+  };
+GEP_VEC(double, __m256d, pd, sd)
+GEP_VEC(float, __m256, ps, ss)
+#undef GEP_VEC
+
+GEP_AVX2_INLINE double fma1(double a, double b, double c) {
+  return __builtin_fma(a, b, c);
+}
+GEP_AVX2_INLINE float fma1(float a, float b, float c) {
+  return __builtin_fmaf(a, b, c);
 }
 
-GEP_AVX2_FN inline void minplus_row(float* x, const float* v, float t,
-                                    index_t len) {
-  const __m256 vt = _mm256_set1_ps(t);
+// x[0..len) += t * v[0..len), or -= when Neg (FMA, one rounding per
+// element).
+template <bool Neg, class T>
+GEP_AVX2_INLINE void fma_row(T* x, const T* v, T t, index_t len) {
+  using V = Vec<T>;
+  const auto vt = V::set1(t);
   index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 cand = _mm256_add_ps(vt, _mm256_loadu_ps(v + j));
-    _mm256_storeu_ps(x + j, _mm256_min_ps(cand, _mm256_loadu_ps(x + j)));
+  for (; j + V::kLanes <= len; j += V::kLanes) {
+    V::store(x + j, Neg ? V::fnmadd(vt, V::load(v + j), V::load(x + j))
+                        : V::fmadd(vt, V::load(v + j), V::load(x + j)));
   }
-  for (; j < len; ++j) {
-    const float cand = t + v[j];
-    if (cand < x[j]) x[j] = cand;
-  }
+  for (; j < len; ++j) x[j] = fma1(Neg ? -t : t, v[j], x[j]);
 }
 
-// x[0..len) = max(x, min(t, v)) — tie orders match std::min/std::max.
-GEP_AVX2_FN inline void maxmin_row(double* x, const double* v, double t,
-                                   index_t len) {
-  const __m256d vt = _mm256_set1_pd(t);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    const __m256d cand = _mm256_min_pd(_mm256_loadu_pd(v + j), vt);
-    _mm256_storeu_pd(x + j, _mm256_max_pd(cand, _mm256_loadu_pd(x + j)));
-  }
-  for (; j < len; ++j) {
-    const double cand = v[j] < t ? v[j] : t;
-    if (cand > x[j]) x[j] = cand;
-  }
-}
+}  // namespace
 
-GEP_AVX2_FN inline void maxmin_row(float* x, const float* v, float t,
-                                   index_t len) {
-  const __m256 vt = _mm256_set1_ps(t);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 cand = _mm256_min_ps(_mm256_loadu_ps(v + j), vt);
-    _mm256_storeu_ps(x + j, _mm256_max_ps(cand, _mm256_loadu_ps(x + j)));
-  }
-  for (; j < len; ++j) {
-    const float cand = v[j] < t ? v[j] : t;
-    if (cand > x[j]) x[j] = cand;
-  }
-}
-
-// x[0..len) -= t * v[0..len)   (FMA, one rounding per element)
-GEP_AVX2_FN inline void fnmadd_row(double* x, const double* v, double t,
-                                   index_t len) {
-  const __m256d vt = _mm256_set1_pd(t);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    _mm256_storeu_pd(
-        x + j, _mm256_fnmadd_pd(vt, _mm256_loadu_pd(v + j),
-                                _mm256_loadu_pd(x + j)));
-  }
-  for (; j < len; ++j) x[j] = __builtin_fma(-t, v[j], x[j]);
-}
-
-GEP_AVX2_FN inline void fnmadd_row(float* x, const float* v, float t,
-                                   index_t len) {
-  const __m256 vt = _mm256_set1_ps(t);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    _mm256_storeu_ps(
-        x + j, _mm256_fnmadd_ps(vt, _mm256_loadu_ps(v + j),
-                                _mm256_loadu_ps(x + j)));
-  }
-  for (; j < len; ++j) x[j] = __builtin_fmaf(-t, v[j], x[j]);
-}
-
-// x[0..len) += t * v[0..len)
-GEP_AVX2_FN inline void fmadd_row(double* x, const double* v, double t,
-                                  index_t len) {
-  const __m256d vt = _mm256_set1_pd(t);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    _mm256_storeu_pd(
-        x + j, _mm256_fmadd_pd(vt, _mm256_loadu_pd(v + j),
-                               _mm256_loadu_pd(x + j)));
-  }
-  for (; j < len; ++j) x[j] = __builtin_fma(t, v[j], x[j]);
-}
-
-GEP_AVX2_FN inline void fmadd_row(float* x, const float* v, float t,
-                                  index_t len) {
-  const __m256 vt = _mm256_set1_ps(t);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    _mm256_storeu_ps(
-        x + j, _mm256_fmadd_ps(vt, _mm256_loadu_ps(v + j),
-                               _mm256_loadu_ps(x + j)));
-  }
-  for (; j < len; ++j) x[j] = __builtin_fmaf(t, v[j], x[j]);
-}
-
-// --- shared kernel bodies (double/float via template over row prims) -------
+// --- row kernels (aliased A/B/C boxes, small tiles) ------------------------
 
 template <class T>
-GEP_AVX2_FN void fw_impl(T* x, const T* u, const T* v, index_t m, index_t sx,
-                         index_t su, index_t sv) {
-  for (index_t k = 0; k < m; ++k) {
-    const T* vk = v + k * sv;
-    for (index_t i = 0; i < m; ++i) {
-      minplus_row(x + i * sx, vk, u[i * su + k], m);
-    }
-  }
-}
-
-template <class T>
-GEP_AVX2_FN void bottleneck_impl(T* x, const T* u, const T* v, index_t m,
-                                 index_t sx, index_t su, index_t sv) {
-  for (index_t k = 0; k < m; ++k) {
-    const T* vk = v + k * sv;
-    for (index_t i = 0; i < m; ++i) {
-      maxmin_row(x + i * sx, vk, u[i * su + k], m);
-    }
-  }
-}
-
-template <class T>
-GEP_AVX2_FN void ge_impl(T* x, const T* u, const T* v, const T* w, index_t m,
+GEP_AVX2_FN void ge_avx2(T* x, const T* u, const T* v, const T* w, index_t m,
                          index_t sx, index_t su, index_t sv, index_t sw,
                          bool diag_i, bool diag_j) {
   for (index_t k = 0; k < m; ++k) {
@@ -174,13 +101,13 @@ GEP_AVX2_FN void ge_impl(T* x, const T* u, const T* v, const T* w, index_t m,
     const index_t jlo = diag_j ? k + 1 : 0;
     for (index_t i = ilo; i < m; ++i) {
       const T t = u[i * su + k] / wkk;
-      fnmadd_row(x + i * sx + jlo, vk + jlo, t, m - jlo);
+      fma_row<true>(x + i * sx + jlo, vk + jlo, t, m - jlo);
     }
   }
 }
 
 template <class T>
-GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t m,
+GEP_AVX2_FN void lu_avx2(T* x, const T* u, const T* v, T* w, index_t m,
                          index_t sx, index_t su, index_t sv, index_t sw,
                          bool diag_i, bool diag_j, const PivotGuard* guard,
                          index_t k_base) {
@@ -202,111 +129,67 @@ GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t m,
       } else {
         uik = u[i * su + k];
       }
-      fnmadd_row(xi + jlo, vk + jlo, uik, m - jlo);
+      fma_row<true>(xi + jlo, vk + jlo, uik, m - jlo);
     }
   }
 }
 
 template <class T>
-GEP_AVX2_FN void mm_impl(T* x, const T* u, const T* v, index_t m, index_t sx,
+GEP_AVX2_FN void mm_avx2(T* x, const T* u, const T* v, index_t m, index_t sx,
                          index_t su, index_t sv) {
   for (index_t k = 0; k < m; ++k) {
     const T* vk = v + k * sv;
     for (index_t i = 0; i < m; ++i) {
-      fmadd_row(x + i * sx, vk, u[i * su + k], m);
+      fma_row<false>(x + i * sx, vk, u[i * su + k], m);
     }
   }
 }
-
-}  // namespace
 
 // --- GEMM micro-kernels ----------------------------------------------------
 
-// 6 x 8 doubles: 12 ymm accumulators + 2 B vectors + 1 broadcast.
-GEP_AVX2_FN void ukr_avx2(index_t kc, double alpha, const double* pa,
-                          const double* pb, double* c, index_t ldc) {
+// 6 x 8 doubles (6 x 16 floats): 12 ymm accumulators + 2 B vectors + 1
+// broadcast.
+template <class T>
+GEP_AVX2_FN void ukr_avx2(index_t kc, T alpha, const T* pa, const T* pb, T* c,
+                          index_t ldc) {
+  using V = Vec<T>;
   constexpr int MR = 6;
-  constexpr index_t NR = 8;
-  __m256d acc[MR][2];
+  constexpr index_t L = V::kLanes;
+  constexpr index_t NR = 2 * L;
+  typename V::type acc[MR][2];
   for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_pd();
-    acc[i][1] = _mm256_setzero_pd();
+    acc[i][0] = V::zero();
+    acc[i][1] = V::zero();
   }
   for (index_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(pb + p * NR);
-    const __m256d b1 = _mm256_loadu_pd(pb + p * NR + 4);
-    const double* a = pa + p * MR;
+    const auto b0 = V::load(pb + p * NR);
+    const auto b1 = V::load(pb + p * NR + L);
+    const T* a = pa + p * MR;
     for (int i = 0; i < MR; ++i) {
-      const __m256d ai = _mm256_broadcast_sd(a + i);
-      acc[i][0] = _mm256_fmadd_pd(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_pd(ai, b1, acc[i][1]);
+      const auto ai = V::bcast(a + i);
+      acc[i][0] = V::fmadd(ai, b0, acc[i][0]);
+      acc[i][1] = V::fmadd(ai, b1, acc[i][1]);
     }
   }
-  const __m256d va = _mm256_set1_pd(alpha);
+  const auto va = V::set1(alpha);
   for (int i = 0; i < MR; ++i) {
-    double* ci = c + i * ldc;
-    _mm256_storeu_pd(ci,
-                     _mm256_fmadd_pd(va, acc[i][0], _mm256_loadu_pd(ci)));
-    _mm256_storeu_pd(
-        ci + 4, _mm256_fmadd_pd(va, acc[i][1], _mm256_loadu_pd(ci + 4)));
+    T* ci = c + i * ldc;
+    V::store(ci, V::fmadd(va, acc[i][0], V::load(ci)));
+    V::store(ci + L, V::fmadd(va, acc[i][1], V::load(ci + L)));
   }
 }
 
-// 6 x 16 floats.
-GEP_AVX2_FN void ukr_avx2(index_t kc, float alpha, const float* pa,
-                          const float* pb, float* c, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 16;
-  __m256 acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(pb + p * NR);
-    const __m256 b1 = _mm256_loadu_ps(pb + p * NR + 8);
-    const float* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256 ai = _mm256_broadcast_ss(a + i);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
-    }
-  }
-  const __m256 va = _mm256_set1_ps(alpha);
-  for (int i = 0; i < MR; ++i) {
-    float* ci = c + i * ldc;
-    _mm256_storeu_ps(ci, _mm256_fmadd_ps(va, acc[i][0], _mm256_loadu_ps(ci)));
-    _mm256_storeu_ps(
-        ci + 8, _mm256_fmadd_ps(va, acc[i][1], _mm256_loadu_ps(ci + 8)));
-  }
-}
-
-namespace {
-
-template <class T, index_t NR>
-GEP_AVX2_FN void ukr_edge_impl(index_t kc, T alpha, const T* pa, const T* pb,
+template <class T>
+GEP_AVX2_FN void ukr_avx2_edge(index_t kc, T alpha, const T* pa, const T* pb,
                                T* c, index_t ldc, index_t mr, index_t nr) {
   // The panels are zero-padded, so computing the full micro-tile into a
   // scratch buffer is safe; only the valid corner is written back.
+  constexpr index_t NR = 2 * Vec<T>::kLanes;
   alignas(64) T tmp[6 * NR] = {};
   ukr_avx2(kc, alpha, pa, pb, tmp, NR);
   for (index_t i = 0; i < mr; ++i) {
     for (index_t j = 0; j < nr; ++j) c[i * ldc + j] += tmp[i * NR + j];
   }
-}
-
-}  // namespace
-
-GEP_AVX2_FN void ukr_avx2_edge(index_t kc, double alpha, const double* pa,
-                               const double* pb, double* c, index_t ldc,
-                               index_t mr, index_t nr) {
-  ukr_edge_impl<double, 8>(kc, alpha, pa, pb, c, ldc, mr, nr);
-}
-
-GEP_AVX2_FN void ukr_avx2_edge(index_t kc, float alpha, const float* pa,
-                               const float* pb, float* c, index_t ldc,
-                               index_t mr, index_t nr) {
-  ukr_edge_impl<float, 16>(kc, alpha, pa, pb, c, ldc, mr, nr);
 }
 
 // --- multi-destination micro-kernels (Strassen output fusion) --------------
@@ -316,15 +199,17 @@ GEP_AVX2_FN void ukr_avx2_edge(index_t kc, float alpha, const float* pa,
 // own ±1 coefficient, so Strassen's output additions cost no separate
 // sweep and all destinations share the identically-rounded product.
 
-GEP_AVX2_FN void ukr_avx2_multi(index_t kc, double alpha, const double* pa,
-                                const double* pb, const GemmDest<double>* dst,
-                                int nd, index_t ldc) {
+template <class T>
+GEP_AVX2_FN void ukr_avx2_multi(index_t kc, T alpha, const T* pa, const T* pb,
+                                const GemmDest<T>* dst, int nd, index_t ldc) {
+  using V = Vec<T>;
   constexpr int MR = 6;
-  constexpr index_t NR = 8;
-  __m256d acc[MR][2];
+  constexpr index_t L = V::kLanes;
+  constexpr index_t NR = 2 * L;
+  typename V::type acc[MR][2];
   for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_pd();
-    acc[i][1] = _mm256_setzero_pd();
+    acc[i][0] = V::zero();
+    acc[i][1] = V::zero();
   }
   // Early RFO prefetch of every destination tile: the multi writeback
   // streams up to kMaxGemmOperands C quadrants, so hiding the C-line
@@ -335,68 +220,33 @@ GEP_AVX2_FN void ukr_avx2_multi(index_t kc, double alpha, const double* pa,
     }
   }
   for (index_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(pb + p * NR);
-    const __m256d b1 = _mm256_loadu_pd(pb + p * NR + 4);
-    const double* a = pa + p * MR;
+    const auto b0 = V::load(pb + p * NR);
+    const auto b1 = V::load(pb + p * NR + L);
+    const T* a = pa + p * MR;
     for (int i = 0; i < MR; ++i) {
-      const __m256d ai = _mm256_broadcast_sd(a + i);
-      acc[i][0] = _mm256_fmadd_pd(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_pd(ai, b1, acc[i][1]);
+      const auto ai = V::bcast(a + i);
+      acc[i][0] = V::fmadd(ai, b0, acc[i][0]);
+      acc[i][1] = V::fmadd(ai, b1, acc[i][1]);
     }
   }
   for (int q = 0; q < nd; ++q) {
-    const __m256d vs = _mm256_set1_pd(alpha * dst[q].coeff);
+    const auto vs = V::set1(alpha * dst[q].coeff);
     for (int i = 0; i < MR; ++i) {
-      double* ci = dst[q].c + i * ldc;
-      _mm256_storeu_pd(ci,
-                       _mm256_fmadd_pd(vs, acc[i][0], _mm256_loadu_pd(ci)));
-      _mm256_storeu_pd(
-          ci + 4, _mm256_fmadd_pd(vs, acc[i][1], _mm256_loadu_pd(ci + 4)));
+      T* ci = dst[q].c + i * ldc;
+      V::store(ci, V::fmadd(vs, acc[i][0], V::load(ci)));
+      V::store(ci + L, V::fmadd(vs, acc[i][1], V::load(ci + L)));
     }
   }
 }
 
-GEP_AVX2_FN void ukr_avx2_multi(index_t kc, float alpha, const float* pa,
-                                const float* pb, const GemmDest<float>* dst,
-                                int nd, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 16;
-  __m256 acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(pb + p * NR);
-    const __m256 b1 = _mm256_loadu_ps(pb + p * NR + 8);
-    const float* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256 ai = _mm256_broadcast_ss(a + i);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
-    }
-  }
-  for (int q = 0; q < nd; ++q) {
-    const __m256 vs = _mm256_set1_ps(alpha * dst[q].coeff);
-    for (int i = 0; i < MR; ++i) {
-      float* ci = dst[q].c + i * ldc;
-      _mm256_storeu_ps(ci,
-                       _mm256_fmadd_ps(vs, acc[i][0], _mm256_loadu_ps(ci)));
-      _mm256_storeu_ps(
-          ci + 8, _mm256_fmadd_ps(vs, acc[i][1], _mm256_loadu_ps(ci + 8)));
-    }
-  }
-}
-
-namespace {
-
-template <class T, index_t NR>
-GEP_AVX2_FN void ukr_multi_edge_impl(index_t kc, T alpha, const T* pa,
+template <class T>
+GEP_AVX2_FN void ukr_avx2_multi_edge(index_t kc, T alpha, const T* pa,
                                      const T* pb, const GemmDest<T>* dst,
                                      int nd, index_t ldc, index_t mr,
                                      index_t nr) {
   // Full zero-padded tile into scratch (alpha folded in), then each
   // destination receives its ±1-scaled valid corner.
+  constexpr index_t NR = 2 * Vec<T>::kLanes;
   alignas(64) T tmp[6 * NR] = {};
   GemmDest<T> t{tmp, T{1}};
   ukr_avx2_multi(kc, alpha, pa, pb, &t, 1, NR);
@@ -409,43 +259,105 @@ GEP_AVX2_FN void ukr_multi_edge_impl(index_t kc, T alpha, const T* pa,
   }
 }
 
+// --- semiring micro-kernel (D-kind fw / bottleneck leaves) -----------------
+//
+// The GEMM micro-tile shape over a (⊕, ⊗) semiring: the C micro-tile is
+// loaded into the accumulators once, acc = add(multiply(a, b), acc) is
+// folded over ascending k, and the tile is stored once. Per element the
+// k order is the scalar template's, and `add` takes the candidate first
+// and the accumulator second: _mm256_min_pd(s, acc) returns acc unless
+// s < acc, which is std::min(acc, s) — ties, ±0, +inf and NaN resolve
+// bit-identically to gep::scalar::kernel_fw / kernel_bottleneck.
+
+namespace {
+
+// x = min(x, u + v): scalar `std::min(x, uik + vk[j])`.
+template <class V>
+struct MinPlusSR {
+  using vec = typename V::type;
+  GEP_AVX2_INLINE static vec multiply(vec u, vec v) { return V::plus(u, v); }
+  GEP_AVX2_INLINE static vec add(vec s, vec acc) { return V::min(s, acc); }
+};
+
+// x = max(x, min(u, v)): scalar `std::max(x, std::min(uik, vk[j]))`,
+// whose inner min returns uik unless vk[j] < uik.
+template <class V>
+struct MaxMinSR {
+  using vec = typename V::type;
+  GEP_AVX2_INLINE static vec multiply(vec u, vec v) { return V::min(v, u); }
+  GEP_AVX2_INLINE static vec add(vec s, vec acc) { return V::max(s, acc); }
+};
+
+template <template <class> class Semi, class T>
+GEP_AVX2_FN void ukr_semiring(index_t kc, const T* pa, const T* pb, T* c,
+                              index_t ldc) {
+  using V = Vec<T>;
+  using SR = Semi<V>;
+  constexpr int MR = 6;
+  constexpr index_t L = V::kLanes;
+  constexpr index_t NR = 2 * L;
+  // Two 1-D accumulator arrays over fully unrolled row loops: GCC then
+  // keeps all twelve in registers, where an acc[MR][2] array is spilled
+  // to the stack on every k step.
+  typename V::type acc0[MR], acc1[MR];
+#pragma GCC unroll 6
+  for (int i = 0; i < MR; ++i) {
+    acc0[i] = V::load(c + i * ldc);
+    acc1[i] = V::load(c + i * ldc + L);
+  }
+  for (index_t p = 0; p < kc; ++p) {
+    const auto b0 = V::load(pb + p * NR);
+    const auto b1 = V::load(pb + p * NR + L);
+    const T* a = pa + p * MR;
+#pragma GCC unroll 6
+    for (int i = 0; i < MR; ++i) {
+      const auto ai = V::bcast(a + i);
+      acc0[i] = SR::add(SR::multiply(ai, b0), acc0[i]);
+      acc1[i] = SR::add(SR::multiply(ai, b1), acc1[i]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int i = 0; i < MR; ++i) {
+    V::store(c + i * ldc, acc0[i]);
+    V::store(c + i * ldc + L, acc1[i]);
+  }
+}
+
+// Full micro-tiles fold C in place; a fringe copies the valid mr x nr
+// corner of C into a full stack tile, folds there and copies it back
+// (the padded lanes compute on the panels' zero padding, discarded).
+template <template <class> class SR, class T>
+GEP_AVX2_FN void ukr_semiring_any(index_t kc, const T* pa, const T* pb, T* c,
+                                  index_t ldc, index_t mr, index_t nr) {
+  constexpr index_t NR = 2 * Vec<T>::kLanes;
+  if (mr == kMicroRows && nr == NR) {
+    ukr_semiring<SR>(kc, pa, pb, c, ldc);
+    return;
+  }
+  alignas(64) T tmp[6 * NR] = {};
+  for (index_t i = 0; i < mr; ++i) {
+    for (index_t j = 0; j < nr; ++j) tmp[i * NR + j] = c[i * ldc + j];
+  }
+  ukr_semiring<SR>(kc, pa, pb, tmp, NR);
+  for (index_t i = 0; i < mr; ++i) {
+    for (index_t j = 0; j < nr; ++j) c[i * ldc + j] = tmp[i * NR + j];
+  }
+}
+
 }  // namespace
 
-GEP_AVX2_FN void ukr_avx2_multi_edge(index_t kc, double alpha,
-                                     const double* pa, const double* pb,
-                                     const GemmDest<double>* dst, int nd,
-                                     index_t ldc, index_t mr, index_t nr) {
-  ukr_multi_edge_impl<double, 8>(kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+template <class T>
+GEP_AVX2_FN void ukr_semiring_avx2(Semiring sr, index_t kc, const T* pa,
+                                   const T* pb, T* c, index_t ldc, index_t mr,
+                                   index_t nr) {
+  if (sr == Semiring::MinPlus) {
+    ukr_semiring_any<MinPlusSR>(kc, pa, pb, c, ldc, mr, nr);
+  } else {
+    ukr_semiring_any<MaxMinSR>(kc, pa, pb, c, ldc, mr, nr);
+  }
 }
 
-GEP_AVX2_FN void ukr_avx2_multi_edge(index_t kc, float alpha, const float* pa,
-                                     const float* pb,
-                                     const GemmDest<float>* dst, int nd,
-                                     index_t ldc, index_t mr, index_t nr) {
-  ukr_multi_edge_impl<float, 16>(kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
-}
-
-// --- leaf kernels ----------------------------------------------------------
-
-GEP_AVX2_FN void fw_avx2(double* x, const double* u, const double* v,
-                         index_t m, index_t sx, index_t su, index_t sv) {
-  fw_impl(x, u, v, m, sx, su, sv);
-}
-GEP_AVX2_FN void fw_avx2(float* x, const float* u, const float* v, index_t m,
-                         index_t sx, index_t su, index_t sv) {
-  fw_impl(x, u, v, m, sx, su, sv);
-}
-
-GEP_AVX2_FN void bottleneck_avx2(double* x, const double* u, const double* v,
-                                 index_t m, index_t sx, index_t su,
-                                 index_t sv) {
-  bottleneck_impl(x, u, v, m, sx, su, sv);
-}
-GEP_AVX2_FN void bottleneck_avx2(float* x, const float* u, const float* v,
-                                 index_t m, index_t sx, index_t su,
-                                 index_t sv) {
-  bottleneck_impl(x, u, v, m, sx, su, sv);
-}
+// --- TC byte kernel --------------------------------------------------------
 
 GEP_AVX2_FN void tc_avx2(std::uint8_t* x, const std::uint8_t* u,
                          const std::uint8_t* v, index_t m, index_t sx,
@@ -469,38 +381,29 @@ GEP_AVX2_FN void tc_avx2(std::uint8_t* x, const std::uint8_t* u,
   }
 }
 
-GEP_AVX2_FN void ge_avx2(double* x, const double* u, const double* v,
-                         const double* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j) {
-  ge_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
-}
-GEP_AVX2_FN void ge_avx2(float* x, const float* u, const float* v,
-                         const float* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j) {
-  ge_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
-}
+// --- instantiations for the two vector element types -----------------------
 
-GEP_AVX2_FN void lu_avx2(double* x, const double* u, const double* v,
-                         double* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j,
-                         const PivotGuard* guard, index_t k_base) {
-  lu_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard, k_base);
-}
-GEP_AVX2_FN void lu_avx2(float* x, const float* u, const float* v, float* w,
-                         index_t m, index_t sx, index_t su, index_t sv,
-                         index_t sw, bool diag_i, bool diag_j,
-                         const PivotGuard* guard, index_t k_base) {
-  lu_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard, k_base);
-}
-
-GEP_AVX2_FN void mm_avx2(double* x, const double* u, const double* v,
-                         index_t m, index_t sx, index_t su, index_t sv) {
-  mm_impl(x, u, v, m, sx, su, sv);
-}
-GEP_AVX2_FN void mm_avx2(float* x, const float* u, const float* v, index_t m,
-                         index_t sx, index_t su, index_t sv) {
-  mm_impl(x, u, v, m, sx, su, sv);
-}
+#define GEP_AVX2_INSTANTIATE(T)                                              \
+  template void ge_avx2(T*, const T*, const T*, const T*, index_t, index_t,  \
+                        index_t, index_t, index_t, bool, bool);              \
+  template void lu_avx2(T*, const T*, const T*, T*, index_t, index_t,        \
+                        index_t, index_t, index_t, bool, bool,               \
+                        const PivotGuard*, index_t);                         \
+  template void mm_avx2(T*, const T*, const T*, index_t, index_t, index_t,   \
+                        index_t);                                            \
+  template void ukr_avx2(index_t, T, const T*, const T*, T*, index_t);       \
+  template void ukr_avx2_edge(index_t, T, const T*, const T*, T*, index_t,   \
+                              index_t, index_t);                             \
+  template void ukr_avx2_multi(index_t, T, const T*, const T*,               \
+                               const GemmDest<T>*, int, index_t);            \
+  template void ukr_avx2_multi_edge(index_t, T, const T*, const T*,          \
+                                    const GemmDest<T>*, int, index_t,        \
+                                    index_t, index_t);                       \
+  template void ukr_semiring_avx2(Semiring, index_t, const T*, const T*, T*, \
+                                  index_t, index_t, index_t);
+GEP_AVX2_INSTANTIATE(double)
+GEP_AVX2_INSTANTIATE(float)
+#undef GEP_AVX2_INSTANTIATE
 
 }  // namespace gep::simd
 

@@ -31,6 +31,11 @@ constexpr index_t micro_cols() {
   return sizeof(T) == 4 ? 16 : 8;
 }
 
+// The (⊕, ⊗) semirings the packed micro-kernel folds besides (+, ×):
+// MinPlus is Floyd-Warshall's x = min(x, u + v), MaxMin the bottleneck
+// x = max(x, min(u, v)).
+enum class Semiring { MinPlus, MaxMin };
+
 // Packs an mc x kc block of row-major A (leading dimension lda) into
 // kMicroRows-wide column panels: panel p0 holds rows [p0*MR, p0*MR+MR)
 // laid out column-by-column, short panels zero-padded.

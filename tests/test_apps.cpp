@@ -4,11 +4,16 @@
 // multithreaded runs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <queue>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "apps/apps.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/registry.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -189,6 +194,63 @@ TEST(MultiThreadedApps, MatchSingleThreaded) {
   apps::multiply_add(c1, a, b, Engine::IGep, {8, 1});
   apps::multiply_add(c2, a, b, Engine::IGep, {8, 4});
   EXPECT_TRUE(approx_equal(c1, c2, 0.0));
+}
+
+// Threads the flight recorder has seen (it keeps one ring per thread
+// ever started), read from a dump's header.
+std::uint32_t recorded_threads() {
+  const char* path = "apps_pool.gepdump";
+  EXPECT_TRUE(obs::flight::dump(path));
+  obs::flightfmt::FileHeader h{};
+  std::FILE* f = std::fopen(path, "rb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    EXPECT_EQ(std::fread(&h, sizeof h, 1, f), 1u);
+    std::fclose(f);
+  }
+  std::remove(path);
+  return h.thread_count;
+}
+
+// Multithreaded app calls borrow one kept pool per worker count, so
+// calls after the first start no threads (each started thread would
+// leave a flight ring behind for good).
+TEST(MultiThreadedApps, RepeatedCallsStartNoThreads) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const index_t n = 64;
+  const Matrix<double> w = random_graph(n, 12, 0.3);
+  Matrix<double> d = w;
+  apps::floyd_warshall(d, Engine::IGep, {8, 4});
+  const std::uint32_t before = recorded_threads();
+  for (int i = 0; i < 5; ++i) {
+    d = w;
+    apps::floyd_warshall(d, Engine::IGep, {8, 4});
+  }
+  // A worker creates its ring when it first runs, which on a loaded host
+  // can be after the first call returned: allow one pool's 3 workers.
+  // A pool per call would add 3 threads per call.
+  EXPECT_LE(recorded_threads(), before + 3);
+}
+
+// Concurrent callers each get a pool of their own (the kept one or a
+// fresh one) and match the single-threaded result.
+TEST(MultiThreadedApps, ConcurrentCallsMatchSingleThreaded) {
+  const index_t n = 64;
+  const Matrix<double> w = random_graph(n, 13, 0.3);
+  Matrix<double> ref = w;
+  apps::floyd_warshall(ref, Engine::IGep, {8, 1});
+  std::vector<Matrix<double>> got(3, w);
+  std::vector<std::thread> callers;
+  for (Matrix<double>& g : got) {
+    callers.emplace_back([&g, &w] {
+      for (int i = 0; i < 4; ++i) {
+        g = w;
+        apps::floyd_warshall(g, Engine::IGep, {8, 4});
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const Matrix<double>& g : got) EXPECT_TRUE(approx_equal(ref, g, 0.0));
 }
 
 TEST(AppGuards, RejectInvalidInputs) {

@@ -7,24 +7,31 @@
 // run-to-run at a fixed dispatch level. The guarded LU kernel must be
 // bit-identical to the unguarded one on healthy input, per level.
 //
-// The semiring comparisons call the simd::*_avx2 kernels directly
-// rather than through the gep::kernel_* wrappers: in TUs compiled with
-// AVX-512 the wrappers deliberately keep those kernels on the (wider)
-// autovectorized scalar path (GEP_SIMD_ROUTE_SEMIRING in
-// gep/kernels.hpp), and the explicit kernels must stay covered either
-// way. The FMA kernels route unconditionally, so their tests exercise
-// the real wrapper dispatch.
+// The semiring and FMA kernels are all compared through the gep::kernel_*
+// wrappers at a forced dispatch level, so the tests exercise the real
+// routing; only the TC byte kernel is called directly (simd::tc_avx2),
+// because in AVX-512 TUs its wrapper keeps the autovectorized scalar
+// template (GEP_SIMD_ROUTE_SEMIRING in gep/kernels.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "apps/apps.hpp"
+#include "extmem/ooc_matrix.hpp"
+#include "extmem/ooc_typed.hpp"
 #include "gep/kernels.hpp"
 #include "gep/numeric_guard.hpp"
+#include "gep/typed.hpp"
 #include "obs/registry.hpp"
+#include "parallel/task_graph.hpp"
+#include "parallel/work_stealing.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
 #include "util/prng.hpp"
@@ -132,63 +139,102 @@ TEST_F(SimdKernels, DispatchCountersTick) {
 }
 
 // --- semiring kernels: bit-exact -------------------------------------------
+//
+// At forced Avx2 the dispatched kernel_fw / kernel_bottleneck route a
+// disjoint (D-kind) tile through the packed semiring micro-kernel. It
+// must reproduce the scalar template bit for bit on every fringe shape,
+// at contiguous, padded and power-of-two strides, and on the values
+// where operand order shows: exact ties, ±0.0, +inf and NaN.
 
-TEST_F(SimdKernels, FloydWarshallBitExact) {
-  REQUIRE_AVX2();
+// Small integers (so sums tie exactly) salted with ±0.0, +inf and NaN;
+// the stride padding stays 0.
+template <class T>
+std::vector<T> adversarial_tile(index_t m, index_t stride,
+                                std::uint64_t seed) {
+  SplitMix64 g(seed);
+  std::vector<T> t(static_cast<std::size_t>(m * stride), T{});
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < m; ++j) {
+      const std::uint64_t r = g.next() % 16;
+      T val = static_cast<T>(r % 5);
+      if (r == 0) val = -T{0};
+      if (r == 2) val = std::numeric_limits<T>::infinity();
+      if (r == 3) val = std::numeric_limits<T>::quiet_NaN();
+      t[static_cast<std::size_t>(i * stride + j)] = val;
+    }
+  }
+  return t;
+}
+
+template <class T, class Dispatched, class Reference>
+void expect_semiring_bit_exact(const char* name, Dispatched dispatched,
+                               Reference reference) {
+  obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
   for (index_t m : kSizes) {
-    for (index_t stride : {m, m + 3}) {
-      auto u = random_tile(m, stride, 10 + static_cast<std::uint64_t>(m), 0.0,
-                           10.0);
-      auto v = random_tile(m, stride, 20 + static_cast<std::uint64_t>(m), 0.0,
-                           10.0);
-      auto x_s = random_tile(m, stride, 30 + static_cast<std::uint64_t>(m),
-                             0.0, 10.0);
+    for (index_t stride : {m, m + 3, index_t{2048}}) {
+      const auto seed = static_cast<std::uint64_t>(100 * m + stride);
+      auto u = adversarial_tile<T>(m, stride, seed);
+      auto v = adversarial_tile<T>(m, stride, seed + 1);
+      auto x_s = adversarial_tile<T>(m, stride, seed + 2);
       auto x_v = x_s;
-      scalar::kernel_fw(x_s.data(), u.data(), v.data(), m, stride, stride,
-                        stride);
-#if GEP_SIMD_X86
-      simd::fw_avx2(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
-#endif
-      EXPECT_TRUE(bitwise_equal(x_s, x_v)) << "m=" << m << " s=" << stride;
+      reference(x_s.data(), u.data(), v.data(), m, stride, stride, stride);
+      simd::force_level(simd::Level::Avx2);
+      const std::uint64_t a0 = avx2.value();
+      dispatched(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
+      if (obs::kEnabled) {
+        EXPECT_EQ(avx2.value(), a0 + 1) << name;
+      }
+      simd::clear_forced_level();
+      EXPECT_EQ(0, std::memcmp(x_s.data(), x_v.data(), x_s.size() * sizeof(T)))
+          << name << " sizeof(T)=" << sizeof(T) << " m=" << m
+          << " s=" << stride;
     }
   }
 }
 
+TEST_F(SimdKernels, FloydWarshallBitExact) {
+  REQUIRE_AVX2();
+  auto dispatched = [](auto... a) { kernel_fw(a...); };
+  auto reference = [](auto... a) { scalar::kernel_fw(a...); };
+  expect_semiring_bit_exact<double>("fw", dispatched, reference);
+  expect_semiring_bit_exact<float>("fw", dispatched, reference);
+}
+
+// Aliased boxes (x is u and/or v) must not take the packed route, which
+// reads u and v as they stood before the leaf: A-kind (x = u = v), B-kind
+// (x = v) and C-kind (x = u) match the scalar template at forced Avx2.
 TEST_F(SimdKernels, FloydWarshallBitExactAliasedAKind) {
   REQUIRE_AVX2();
   for (index_t m : {5, 16, 33, 64}) {
-    // A-kind box: x, u, v are the same tile (zero diagonal metric).
     auto a = random_tile(m, m, 40 + static_cast<std::uint64_t>(m), 0.1, 10.0);
-    for (index_t i = 0; i < m; ++i) a[static_cast<std::size_t>(i * m + i)] = 0.0;
-    auto b = a;
-    scalar::kernel_fw(a.data(), a.data(), a.data(), m, m, m, m);
-#if GEP_SIMD_X86
-    simd::fw_avx2(b.data(), b.data(), b.data(), m, m, m, m);
-#endif
-    EXPECT_TRUE(bitwise_equal(a, b)) << "m=" << m;
+    auto d = random_tile(m, m, 45 + static_cast<std::uint64_t>(m), 0.1, 10.0);
+    for (index_t i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(i * m + i)] = 0.0;
+      d[static_cast<std::size_t>(i * m + i)] = 0.0;
+    }
+    for (int kind = 0; kind < 3; ++kind) {
+      auto x_s = a;
+      auto x_v = a;
+      auto run = [&](auto fw, double* x) {
+        if (kind == 0) fw(x, x, x, m, m, m, m);
+        if (kind == 1) fw(x, d.data(), x, m, m, m, m);
+        if (kind == 2) fw(x, x, d.data(), m, m, m, m);
+      };
+      run([](auto... p) { scalar::kernel_fw(p...); }, x_s.data());
+      simd::force_level(simd::Level::Avx2);
+      run([](auto... p) { kernel_fw(p...); }, x_v.data());
+      simd::clear_forced_level();
+      EXPECT_TRUE(bitwise_equal(x_s, x_v)) << "m=" << m << " kind=" << kind;
+    }
   }
 }
 
 TEST_F(SimdKernels, BottleneckBitExact) {
   REQUIRE_AVX2();
-  for (index_t m : kSizes) {
-    for (index_t stride : {m, m + 3}) {
-      auto u = random_tile(m, stride, 50 + static_cast<std::uint64_t>(m), 0.0,
-                           5.0);
-      auto v = random_tile(m, stride, 60 + static_cast<std::uint64_t>(m), 0.0,
-                           5.0);
-      auto x_s = random_tile(m, stride, 70 + static_cast<std::uint64_t>(m),
-                             0.0, 5.0);
-      auto x_v = x_s;
-      scalar::kernel_bottleneck(x_s.data(), u.data(), v.data(), m, stride,
-                                stride, stride);
-#if GEP_SIMD_X86
-      simd::bottleneck_avx2(x_v.data(), u.data(), v.data(), m, stride, stride,
-                            stride);
-#endif
-      EXPECT_TRUE(bitwise_equal(x_s, x_v)) << "m=" << m << " s=" << stride;
-    }
-  }
+  auto dispatched = [](auto... a) { kernel_bottleneck(a...); };
+  auto reference = [](auto... a) { scalar::kernel_bottleneck(a...); };
+  expect_semiring_bit_exact<double>("bottleneck", dispatched, reference);
+  expect_semiring_bit_exact<float>("bottleneck", dispatched, reference);
 }
 
 TEST_F(SimdKernels, TransitiveClosureBitExact) {
@@ -362,6 +408,118 @@ TEST_F(SimdKernels, GemmThresholdIsStable) {
   EXPECT_EQ(simd::kGemmMinM, 16);
   if (std::getenv("GEP_GEMM_MIN_M") == nullptr) {
     EXPECT_EQ(simd::gemm_min_m(), simd::kGemmMinM);
+  }
+}
+
+// --- semiring routing end to end ------------------------------------------
+//
+// FW and bottleneck I-GEP at forced Avx2 (D-kind leaves on the packed
+// semiring micro-kernel, A/B/C leaves on the scalar template) must be
+// bit-identical to the same run at forced Scalar under every executor
+// and the OOC driver, and match the iterative engine. bs = 16 and 64
+// leave 4-row micro-tile fringes (16 = 2 * 6 + 4, 64 = 10 * 6 + 4).
+
+enum class SemiringProblem { Fw, Bottleneck };
+
+// FW: zero diagonal, some +inf ("no edge"); bottleneck: +inf diagonal,
+// some 0 ("no edge"). Integral weights make every engine's sums exact.
+Matrix<double> semiring_input(SemiringProblem p, index_t n, bool integral,
+                              std::uint64_t seed) {
+  SplitMix64 g(seed);
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix<double> m(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      const bool no_edge = g.next() % 8 == 0;
+      const double w = integral ? static_cast<double>(1 + g.next() % 20)
+                                : g.uniform(1.0, 50.0);
+      m(i, j) = no_edge ? (p == SemiringProblem::Fw ? inf : 0.0) : w;
+    }
+    m(i, i) = p == SemiringProblem::Fw ? 0.0 : inf;
+  }
+  return m;
+}
+
+bool bit_identical(const Matrix<double>& a, const Matrix<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.rows() * a.cols()) *
+                         sizeof(double)) == 0;
+}
+
+// Every element of a equals b's, or both are within tol (inf == inf).
+bool within(const Matrix<double>& a, const Matrix<double>& b, double tol) {
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < a.cols(); ++j) {
+      if (a(i, j) != b(i, j) && !(std::abs(a(i, j) - b(i, j)) <= tol)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST_F(SimdKernels, SemiringEnginesBitIdenticalAcrossLevels) {
+  REQUIRE_AVX2();
+  const index_t n = 128;
+  WorkStealingPool pool(4);
+  obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
+  obs::Counter d_leaves = obs::counter("typed.leaf_calls.D");
+  for (SemiringProblem p : {SemiringProblem::Fw, SemiringProblem::Bottleneck}) {
+    const bool fw = p == SemiringProblem::Fw;
+    for (bool integral : {true, false}) {
+      const Matrix<double> init =
+          semiring_input(p, n, integral, integral ? 7 : 8);
+      Matrix<double> iter = init;
+      fw ? apps::floyd_warshall(iter, apps::Engine::Iterative)
+         : apps::bottleneck_paths(iter, apps::Engine::Iterative);
+      for (index_t bs : {8, 16, 64}) {
+        // One leg: the result of `run` on a copy of init at `level`; at
+        // Avx2 every D-kind leaf must have taken the packed route.
+        auto leg = [&](const char* name, simd::Level level, auto&& run) {
+          Matrix<double> m = init;
+          simd::force_level(level);
+          const std::uint64_t a0 = avx2.value(), d0 = d_leaves.value();
+          run(m);
+          if (obs::kEnabled && level == simd::Level::Avx2) {
+            EXPECT_EQ(avx2.value() - a0, d_leaves.value() - d0)
+                << name << " bs=" << bs;
+            EXPECT_GT(avx2.value() - a0, 0u) << name << " bs=" << bs;
+          }
+          simd::clear_forced_level();
+          return m;
+        };
+        auto typed = [&](auto&& ex) {
+          return [&, ex](Matrix<double>& m) mutable {
+            RowMajorStore<double> st{m.data(), n, bs};
+            fw ? igep_floyd_warshall(ex, st, n, {bs})
+               : igep_bottleneck(ex, st, n, {bs});
+          };
+        };
+        auto ooc = [&](Matrix<double>& m) {
+          const auto page = static_cast<std::uint64_t>(bs * bs) * 8;
+          PageCache cache(16 * page, page);
+          OocTiledMatrix<double> om(cache, n, n, bs);
+          om.load(m);
+          ooc_igep_floyd_warshall_dag(om, &pool);
+          m = om.to_matrix();
+        };
+        using Run = std::function<void(Matrix<double>&)>;
+        std::vector<std::pair<const char*, Run>> execs{
+            {"seq", typed(SeqInvoker{})}, {"dag4", typed(DagExec{&pool})}};
+        if (fw) execs.emplace_back("ooc", ooc);
+        for (auto& [name, run] : execs) {
+          const Matrix<double> s = leg(name, simd::Level::Scalar, run);
+          const Matrix<double> v = leg(name, simd::Level::Avx2, run);
+          EXPECT_TRUE(bit_identical(s, v))
+              << name << " fw=" << fw << " bs=" << bs;
+          EXPECT_TRUE(integral || !fw ? bit_identical(v, iter)
+                                      : within(v, iter, 1e-9))
+              << name << " vs iterative, fw=" << fw << " bs=" << bs
+              << " integral=" << integral;
+        }
+      }
+    }
   }
 }
 
