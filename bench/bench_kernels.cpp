@@ -216,39 +216,38 @@ std::pair<double, double> paired_time(FnA&& a, FnB&& b, int rounds = 2) {
   return {ta, tb};
 }
 
-// --tune-strassen: measures the Strassen/classic break-even edge per
-// recursion level on this host and emits BENCH_strassen_tune.json with
-// breakeven_m_level1 / breakeven_m_level2 (0 = never pays) and the
-// recommended defaults. Run on the active dispatch path.
+// --tune-strassen: measures the Strassen/classic break-even edge on
+// this host and emits BENCH_strassen_tune.json with breakeven_m (0 =
+// never pays), the value simd::kStrassenMinM should hold. Runs the two
+// paths by direct calls — blas::dgemm_blocked (classic) against
+// simd::strassen_gemm (one level) — on the active dispatch path.
 int tune_strassen() {
   using namespace gep;
   double peak = bench::print_host_banner(
       "Strassen autotune: paired classic vs fused-Strassen packed GEMM");
   bench::BenchReport report("strassen_tune", peak);
   report.meta("dispatch", simd::active_name());
+  report.meta("strassen_min_m", std::to_string(simd::kStrassenMinM));
   const bool small = bench::small_run();
 
-  const simd::GemmOptions classic{0, -1};
-  const simd::GemmOptions l1{1, simd::kStrassenMinMFloor};
-  const simd::GemmOptions l2{2, simd::kStrassenMinMFloor};
-
-  // Level 1 vs classic: break-even = smallest swept edge from which one
-  // level keeps winning (a dip resets it, so a noisy small-size fluke
-  // cannot set the threshold).
+  // Break-even = smallest swept edge from which one level keeps winning
+  // (a dip resets it, so a noisy small-size fluke cannot set it).
   const std::vector<index_t> sweep =
       small ? std::vector<index_t>{128, 256, 384, 512}
             : std::vector<index_t>{128, 192, 256, 320, 384, 512, 768, 1024};
-  index_t breakeven1 = 0;
+  index_t breakeven = 0;
   for (index_t n : sweep) {
     auto a = random_buf(n * n, 71), b = random_buf(n * n, 72),
          c = random_buf(n * n, 73);
-    auto run = [&](const simd::GemmOptions& o) {
-      return [&a, &b, &c, n, o] {
-        simd::ScopedGemmOptions g(o);
-        blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-      };
-    };
-    auto [tc, ts] = paired_time(run(classic), run(l1));
+    auto [tc, ts] = paired_time(
+        [&] {
+          blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
+                              c.data(), n, blas::GemmBlocking{});
+        },
+        [&] {
+          simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
+                              c.data(), n);
+        });
     const double flops = 2.0 * n * n * n;
     add_run(report, peak, "tune dgemm_classic n=" + std::to_string(n), n,
             flops, tc);
@@ -256,50 +255,18 @@ int tune_strassen() {
             flops, ts);
     report.annotate("speedup_vs_classic", tc / ts);
     if (tc / ts >= 1.0) {
-      if (breakeven1 == 0) breakeven1 = n;
+      if (breakeven == 0) breakeven = n;
     } else {
-      breakeven1 = 0;
+      breakeven = 0;
     }
   }
 
-  // Level 2 vs level 1 at sizes where both can engage.
-  const std::vector<index_t> sweep2 = small
-                                          ? std::vector<index_t>{512}
-                                          : std::vector<index_t>{1024, 2048};
-  index_t breakeven2 = 0;
-  for (index_t n : sweep2) {
-    auto a = random_buf(n * n, 74), b = random_buf(n * n, 75),
-         c = random_buf(n * n, 76);
-    auto run = [&](const simd::GemmOptions& o) {
-      return [&a, &b, &c, n, o] {
-        simd::ScopedGemmOptions g(o);
-        blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-      };
-    };
-    auto [t1, t2] = paired_time(run(l1), run(l2));
-    const double flops = 2.0 * n * n * n;
-    add_run(report, peak, "tune dgemm_strassen L2 n=" + std::to_string(n), n,
-            flops, t2);
-    report.annotate("speedup_vs_level1", t1 / t2);
-    if (t1 / t2 >= 1.0) {
-      if (breakeven2 == 0) breakeven2 = n;
-    } else {
-      breakeven2 = 0;
-    }
-  }
-
-  const int rec_levels = breakeven2 != 0 ? 2 : (breakeven1 != 0 ? 1 : 0);
-  const index_t rec_min_m = breakeven1 != 0 ? breakeven1 : 0;
-  report.meta("breakeven_m_level1", std::to_string(breakeven1));
-  report.meta("breakeven_m_level2", std::to_string(breakeven2));
-  report.meta("recommended_levels", std::to_string(rec_levels));
-  report.meta("recommended_min_m", std::to_string(rec_min_m));
+  report.meta("breakeven_m", std::to_string(breakeven));
   std::printf(
-      "\ntune summary: level-1 break-even m = %lld, level-2 break-even m = "
-      "%lld (0 = never pays)\nrecommended: GEP_STRASSEN_LEVELS=%d "
-      "GEP_STRASSEN_MIN_M=%lld\n",
-      static_cast<long long>(breakeven1), static_cast<long long>(breakeven2),
-      rec_levels, static_cast<long long>(rec_min_m));
+      "\ntune summary: break-even m = %lld (0 = never pays); "
+      "kStrassenMinM = %lld\n",
+      static_cast<long long>(breakeven),
+      static_cast<long long>(simd::kStrassenMinM));
   return report.write() ? 0 : 1;
 }
 
@@ -322,9 +289,8 @@ int main(int argc, char** argv) {
   bench::BenchReport report("kernels", peak);
   report.meta("dispatch", simd::active_name());
   report.meta("cpu_simd", cpu_features().summary());
-  report.meta("gemm_min_m", std::to_string(simd::gemm_min_m()));
-  report.meta("strassen_levels", std::to_string(simd::strassen_levels()));
-  report.meta("strassen_min_m", std::to_string(simd::strassen_min_m()));
+  report.meta("gemm_min_m", std::to_string(simd::kGemmMinM));
+  report.meta("strassen_min_m", std::to_string(simd::kStrassenMinM));
 
   const bool small = bench::small_run();
   const std::vector<index_t> sizes{32, 64, 128};
@@ -400,7 +366,8 @@ int main(int argc, char** argv) {
       simd::clear_forced_level();
     }
 
-    // Transitive closure on bytes (bit-exact OR kernel).
+    // Transitive closure on bytes (bit-exact OR kernel), through its
+    // wrapper: the scalar template at every level.
     {
       SplitMix64 g(40);
       std::vector<std::uint8_t> bx(static_cast<std::size_t>(m * m)),
@@ -411,15 +378,7 @@ int main(int argc, char** argv) {
       bench_case(report, peak,
                  {"kernel_tc m=" + std::to_string(m), upd, upd,
                   [&, m] {
-#if GEP_SIMD_X86
-                    if (simd::active() == simd::Level::Avx2) {
-                      simd::tc_avx2(bx.data(), bu.data(), bv.data(), m, m, m,
-                                    m);
-                      return;
-                    }
-#endif
-                    scalar::kernel_tc(bx.data(), bu.data(), bv.data(), m, m,
-                                      m, m);
+                    kernel_tc(bx.data(), bu.data(), bv.data(), m, m, m, m);
                   }},
                  m);
     }
@@ -477,39 +436,31 @@ int main(int argc, char** argv) {
   }
 
   // Strassen-fused vs classic packed GEMM on the active dispatch path:
-  // paired alternating timings, effective GF/s at the nominal 2n^3 flop
-  // count (Strassen executes ~7/8 of them per level, so beating classic
-  // GF/s here means real end-to-end speedup). Level forced to 1 with
-  // the threshold floored so every listed size engages.
+  // paired alternating timings of direct calls, effective GF/s at the
+  // nominal 2n^3 flop count (one level executes 7/8 of them, so beating
+  // classic GF/s here means real end-to-end speedup).
   {
     const std::vector<index_t> ns = small
                                         ? std::vector<index_t>{384, 512}
                                         : std::vector<index_t>{512, 1024, 2048};
-    const simd::GemmOptions classic_opts{0, -1};
-    const simd::GemmOptions l1_opts{1, simd::kStrassenMinMFloor};
-    const simd::GemmOptions l2_opts{2, simd::kStrassenMinMFloor};
     for (index_t n : ns) {
       auto a = random_buf(n * n, 61), b = random_buf(n * n, 62),
            c = random_buf(n * n, 63);
-      auto run = [&](const simd::GemmOptions& o) {
-        return [&a, &b, &c, n, o] {
-          simd::ScopedGemmOptions g(o);
-          blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-        };
-      };
       const double flops = 2.0 * n * n * n;
-      auto [tc, ts] = paired_time(run(classic_opts), run(l1_opts));
+      auto [tc, ts] = paired_time(
+          [&] {
+            blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
+                                c.data(), n, blas::GemmBlocking{});
+          },
+          [&] {
+            simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
+                                c.data(), n);
+          });
       add_run(report, peak, "dgemm_classic n=" + std::to_string(n), n, flops,
               tc);
       add_run(report, peak, "dgemm_strassen L1 n=" + std::to_string(n), n,
               flops, ts);
       report.annotate("speedup_vs_classic", tc / ts);
-      if (!small && n == ns.back()) {  // second level: informational row
-        auto [tc2, t2] = paired_time(run(classic_opts), run(l2_opts));
-        add_run(report, peak, "dgemm_strassen L2 n=" + std::to_string(n), n,
-                flops, t2);
-        report.annotate("speedup_vs_classic", tc2 / t2);
-      }
     }
   }
 

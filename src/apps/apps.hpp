@@ -13,8 +13,11 @@
 // Inputs of arbitrary n are padded to the next power of two with
 // Σ-neutral values for the recursive engines and unpadded on return.
 // opts.threads > 1 runs the IGep/IGepZ engines on the dependency-driven
-// DAG runtime (parallel/task_graph.hpp), bit-identical to the sequential
-// run; other engines are sequential by construction.
+// DAG runtime (parallel/task_graph.hpp) with a pool started for the
+// call, bit-identical to the sequential run; other engines are
+// sequential by construction. RunOptions holds only the base size and
+// the thread count: the leaf routing thresholds (packed GEMM, Strassen)
+// are constants of gep/kernels.hpp and simd/.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "matrix/matrix.hpp"
-#include "simd/strassen.hpp"
 
 namespace gep::apps {
 
@@ -33,11 +35,6 @@ std::string engine_name(Engine e);
 struct RunOptions {
   index_t base_size = 64;
   int threads = 1;
-  // Leaf-GEMM tuning (Strassen levels / crossover) for the engines that
-  // route D-kind leaves through the packed GEMM (IGep/IGepZ with large
-  // base_size, Blocked). Defaults inherit $GEP_STRASSEN_LEVELS /
-  // $GEP_STRASSEN_MIN_M; installed process-wide for the run's duration.
-  simd::GemmOptions gemm{};
 };
 
 // All-pairs shortest paths on a dense distance matrix (INF = +infinity

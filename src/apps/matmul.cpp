@@ -35,7 +35,6 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       c.cols() != n) {
     throw std::invalid_argument("multiply_add: all matrices must be n x n");
   }
-  simd::ScopedGemmOptions gemm_scope(opts.gemm);
   switch (engine) {
     case Engine::Iterative:
       mm_iterative(c.data(), a.data(), b.data(), n);

@@ -3,9 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 #include "apps/apps.hpp"
@@ -26,49 +23,13 @@ inline int dag_workers(const RunOptions& opts) {
   return std::min(opts.threads, static_cast<int>(hw));
 }
 
-// The DAG runtime's pools outlive the call: one idle pool per worker
-// count is kept for the process and lent to the next job of that size.
-// A fresh pool per call would start its threads every call, and at
-// GEP_OBS=ON each started thread leaves a 64 KiB flight-recorder ring
-// behind (kept for post-mortem dumps): a process solving in a loop
-// would grow by about 0.2 MB per 4-thread solve. A job that finds no
-// idle pool of its size (another thread holds it) starts its own; only
-// one per size is kept.
-class PoolCache {
- public:
-  static std::unique_ptr<WorkStealingPool> take(int workers) {
-    std::unique_ptr<WorkStealingPool> pool;
-    {
-      PoolCache& c = instance();
-      std::lock_guard<std::mutex> lock(c.mu_);
-      pool = std::move(c.idle_[workers]);
-    }
-    if (pool == nullptr) pool = std::make_unique<WorkStealingPool>(workers);
-    return pool;
-  }
-  // Keeps `pool` unless an idle one of its size is already kept.
-  static void give_back(std::unique_ptr<WorkStealingPool> pool) {
-    PoolCache& c = instance();
-    std::lock_guard<std::mutex> lock(c.mu_);
-    std::unique_ptr<WorkStealingPool>& slot = c.idle_[pool->threads()];
-    if (slot == nullptr) slot = std::move(pool);
-  }
-
- private:
-  static PoolCache& instance() {
-    static PoolCache c;  // destroyed at exit: joins the parked workers
-    return c;
-  }
-  std::mutex mu_;
-  std::map<int, std::unique_ptr<WorkStealingPool>> idle_;
-};
-
 // Runs one typed I-GEP job: job(ex) with a SeqInvoker for one thread;
 // otherwise with a DagExec on a work-stealing pool of dag_workers()
-// threads from PoolCache, or on no pool when that leaves a single
+// threads started for the job, or on no pool when that leaves a single
 // worker (run_task_graph then executes in emission order on the calling
-// thread). All are bit-identical. A job that throws drops its pool
-// instead of returning it.
+// thread). All are bit-identical. Each exiting worker frees its
+// flight-recorder ring for the next job's workers, so repeated jobs do
+// not grow the process.
 template <class Job>
 void run_typed(const RunOptions& opts, Job&& job) {
   if (opts.threads <= 1) {
@@ -86,10 +47,9 @@ void run_typed(const RunOptions& opts, Job&& job) {
     job(ex);
     return;
   }
-  std::unique_ptr<WorkStealingPool> pool = PoolCache::take(workers);
-  DagExec ex{pool.get()};
+  WorkStealingPool pool(workers);
+  DagExec ex{&pool};
   job(ex);
-  PoolCache::give_back(std::move(pool));
 }
 
 }  // namespace gep::apps::detail

@@ -79,11 +79,14 @@ void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
 
 void dgemm(index_t m, index_t n, index_t k, double alpha, const double* a,
            index_t lda, const double* b, index_t ldb, double* c, index_t ldc) {
-  // Strassen engages above the measured crossover (simd/strassen.hpp);
-  // below it — and in dgemm_blocked, which benches the explicit
-  // blocking — the classic packed path runs bit-identically to before.
-  if (simd::strassen_gemm(m, n, k, alpha, a, lda, b, ldb, c, ldc)) return;
-  dgemm_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc, GemmBlocking{});
+  // One Strassen level from the measured crossover up
+  // (simd/strassen.hpp); below it — and in dgemm_blocked, which benches
+  // the explicit blocking — the classic packed path.
+  if (simd::strassen_engages(m, n, k)) {
+    simd::strassen_gemm(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  } else {
+    dgemm_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc, GemmBlocking{});
+  }
 }
 
 }  // namespace gep::blas

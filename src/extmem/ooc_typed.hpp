@@ -196,12 +196,7 @@ void ooc_igep_lu_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
       [bs, guard](const BlockTask& t, T* x, T* u, T* v, T* w) {
         const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
         const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-        if (guard != nullptr) {
-          kernel_lu_guarded(x, u, v, w, t.m, bs, bs, bs, bs, di, dj, *guard,
-                            t.k0);
-        } else {
-          kernel_lu(x, u, v, w, t.m, bs, bs, bs, bs, di, dj);
-        }
+        kernel_lu(x, u, v, w, t.m, bs, bs, bs, bs, di, dj, guard, t.k0);
       });
 }
 

@@ -1,28 +1,27 @@
 // Base-case kernels for the typed I-GEP engine: runtime-dispatched.
 //
-// The portable reference kernels live in gep::scalar (below, unchanged
-// from the original iterative base cases). The gep::kernel_* entry
-// points every engine calls are thin dispatch wrappers: for double /
-// float (and byte tiles for TC) they consult simd::active() once per
-// leaf. At Level::Avx2, D-kind (fully disjoint) leaves run the packed
-// BLIS-style micro-kernels: GE/LU/MM leaves of at least
-// simd::kGemmMinM rows through the FMA GEMM, and FW/bottleneck leaves
-// of every size through the semiring micro-kernel (both in
-// simd/gemm_leaf.cpp). GE/LU/MM boxes of the aliased A/B/C kinds run
-// the explicit AVX2/FMA kernels of simd/kernels_avx2.cpp; FW/bottleneck
-// A/B/C boxes run the scalar templates at every level, as does TC in
-// AVX-512 TUs (GEP_SIMD_ROUTE_SEMIRING below). Everything else — other
-// element types, non-x86 hosts, $GEP_FORCE_SCALAR=1 — runs the scalar
-// templates exactly as before. See docs/KERNELS.md.
+// The portable reference kernels live in gep::scalar (below, the
+// original iterative base cases). The gep::kernel_* entry points every
+// engine calls are thin wrappers around one rule (detail::packed_leaf):
+// a D-kind double/float leaf — x disjoint from its inputs — at
+// Level::Avx2 runs a packed BLIS-style micro-kernel of
+// simd/gemm_leaf.hpp: FW/bottleneck leaves of every size the semiring
+// micro-kernel, GE/LU/MM leaves of at least simd::kGemmMinM rows the
+// FMA GEMM (one Strassen level from simd::kStrassenMinM up). Every other
+// leaf — A/B/C boxes, small GEMM leaves, TC, FW-paths, other element
+// types, non-x86 hosts, $GEP_FORCE_SCALAR=1 — runs its scalar template,
+// which the native build vectorizes. See docs/KERNELS.md.
 //
 // Numeric contract of the dispatch (tests/test_simd_kernels.cpp):
-//   - fw / bottleneck / tc: AVX2 results are BIT-IDENTICAL to scalar
+//   - fw / bottleneck / tc: results are BIT-IDENTICAL across levels
 //     (same elementwise min/max/or/add in the same k order per element,
 //     same tie resolution).
-//   - ge / lu / mm: AVX2 uses FMA and a different summation order in
-//     the packed path, so results are tolerance-equivalent to scalar
-//     and deterministic run-to-run at a fixed dispatch level.
-//   - kernel_lu vs kernel_lu_guarded route identically, so guarded and
+//   - ge / lu / mm: the packed D-kind path uses FMA and a different
+//     summation order, so those leaves are tolerance-equivalent to
+//     scalar and deterministic run-to-run at a fixed dispatch level;
+//     A/B/C boxes and small leaves are the scalar template at every
+//     level.
+//   - a guarded kernel_lu routes like the unguarded one, so guarded and
 //     unguarded runs stay bit-identical on healthy input.
 //
 // Each scalar kernel processes one m x m tile box of updates in G's
@@ -46,31 +45,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <type_traits>
 
 #include "gep/numeric_guard.hpp"
 #include "matrix/matrix.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
-#include "simd/kernels_avx2.hpp"
-
-// The TC byte kernel is a pure elementwise sweep with no reductions
-// across the vector lanes — exactly the shape compilers autovectorize
-// perfectly. In a TU compiled with AVX-512 enabled (e.g. -march=native
-// on a 512-bit host, the GEP_NATIVE_ARCH=ON default), the
-// autovectorized scalar template is 512 bits wide and beats the explicit
-// 256-bit kernel, so routing there would be a de-optimization. Route it
-// to AVX2 only where the TU's own codegen cannot already match it;
-// portable (non-native) builds still route and win. All TUs of one
-// build share arch flags, so this compile-time fork is ODR-consistent.
-// FW/bottleneck D-kind leaves always route: packing + register blocking
-// keep the X tile in registers, which no sweep width can.
-#if GEP_SIMD_X86 && !defined(__AVX512F__)
-#define GEP_SIMD_ROUTE_SEMIRING 1
-#else
-#define GEP_SIMD_ROUTE_SEMIRING 0
-#endif
 
 namespace gep {
 namespace scalar {
@@ -117,12 +97,27 @@ void kernel_ge(T* x, const T* u, const T* v, const T* w, index_t m,
 // LU decomposition without pivoting (multipliers stored in place).
 // When J == K the j == k update computes the multiplier x[i][k] /= w[k][k]
 // before the row sweep; when J != K the multipliers already live in u.
+//
+// With a pivot guard, every pivot consulted while J == K runs through
+// PivotGuard::admit before the division. Boosting is only legal where
+// the pivot is being CREATED — the A-kind diagonal boxes (diag_i &&
+// diag_j), where w aliases the write-pinned x tile, so the boost writes
+// through x and every later reader (B/C/D boxes) sees the floored
+// value. k_base is the box's global elimination offset (error messages
+// and reports index pivots in matrix coordinates).
 template <class T>
 void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
-               bool diag_j) {
+               bool diag_j, const PivotGuard* guard = nullptr,
+               index_t k_base = 0) {
   for (index_t k = 0; k < m; ++k) {
-    const T wkk = w[k * sw + k];
+    T wkk = w[k * sw + k];
+    if (guard != nullptr && diag_j) {
+      const bool boostable = diag_i;
+      assert(!boostable || w == x);
+      wkk = guard->admit(boostable ? &x[k * sx + k] : &wkk, k_base + k,
+                         boostable);
+    }
     const T* vk = v + k * sv;
     const index_t ilo = diag_i ? k + 1 : 0;
     const index_t jlo = diag_j ? k + 1 : 0;
@@ -131,42 +126,6 @@ void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
       T uik;
       if (diag_j) {
         xi[k] /= wkk;  // <i,k,k>: store multiplier (x aliases u here)
-        uik = xi[k];
-      } else {
-        uik = u[i * su + k];
-      }
-      for (index_t j = jlo; j < m; ++j) xi[j] -= uik * vk[j];
-    }
-  }
-}
-
-// kernel_lu with a pivot guard: every pivot consulted while J == K runs
-// through PivotGuard::admit before the division. Boosting is only legal
-// where the pivot is being CREATED — the A-kind diagonal boxes
-// (diag_i && diag_j), where w aliases the write-pinned x tile, so the
-// floored value persists and every later reader (B/C/D boxes) sees it.
-// k_base is the box's global elimination offset (error messages and
-// reports index pivots in matrix coordinates). w is non-const because
-// Boost rewrites the slot; Throw/Report never write through it.
-template <class T>
-void kernel_lu_guarded(T* x, const T* u, const T* v, T* w, index_t m,
-                       index_t sx, index_t su, index_t sv, index_t sw,
-                       bool diag_i, bool diag_j, const PivotGuard& guard,
-                       index_t k_base) {
-  for (index_t k = 0; k < m; ++k) {
-    T wkk = w[k * sw + k];
-    if (diag_j) {
-      wkk = guard.admit(&w[k * sw + k], k_base + k,
-                        /*boostable=*/diag_i && diag_j);
-    }
-    const T* vk = v + k * sv;
-    const index_t ilo = diag_i ? k + 1 : 0;
-    const index_t jlo = diag_j ? k + 1 : 0;
-    for (index_t i = ilo; i < m; ++i) {
-      T* xi = x + i * sx;
-      T uik;
-      if (diag_j) {
-        xi[k] /= wkk;
         uik = xi[k];
       } else {
         uik = u[i * su + k];
@@ -262,27 +221,10 @@ void kernel_mm(T* __restrict x, const T* __restrict u, const T* __restrict v,
 
 namespace detail {
 
-// True for element types with an explicit AVX2 kernel set.
+// True for element types with a packed micro-kernel.
 template <class T>
 inline constexpr bool simd_vec_type =
     std::is_same_v<T, double> || std::is_same_v<T, float>;
-
-// True for 1-byte integral types the TC byte kernel serves.
-template <class T>
-inline constexpr bool simd_byte_type =
-    std::is_integral_v<T> && sizeof(T) == 1;
-
-// One dispatch decision per leaf call, with the obs tick.
-inline bool leaf_use_avx2() {
-#if GEP_SIMD_X86
-  const simd::Level l = simd::active();
-  simd::note_leaf(l);
-  return l == simd::Level::Avx2;
-#else
-  simd::note_leaf(simd::Level::Scalar);
-  return false;
-#endif
-}
 
 // True when the m x m tiles at a (row stride sa) and b (row stride sb)
 // share an element; O(m), for debug assertions. Row i of b can only
@@ -302,21 +244,26 @@ bool tiles_overlap(const T* a, index_t sa, const T* b, index_t sb,
   return false;
 }
 
-// The semiring route: a D-kind double/float leaf (x disjoint from u and
-// v) at Level::Avx2 runs the packed semiring micro-kernel
-// (simd::semiring_tile) and returns true. Everything else — A/B/C boxes,
-// where x aliases u or v, other element types, Level::Scalar — ticks the
-// scalar counter and returns false for the scalar template. Tiles are
-// either identical or disjoint, which the assertion checks.
-template <class T>
-bool semiring_packed(simd::Semiring sr, T* x, const T* u, const T* v,
-                     index_t m, index_t sx, index_t su, index_t sv) {
+// The one SIMD rule for leaves: a double/float leaf whose x tile is
+// disjoint from u and v (`d_kind`, decided by the caller) at
+// Level::Avx2 runs packed(x) — a packed micro-kernel — ticks
+// kernels.dispatch.avx2 and returns true. Every other leaf ticks
+// kernels.dispatch.scalar and returns false, and the caller runs its
+// scalar template. `packed` is a generic lambda, so its body is only
+// instantiated for the element types that reach it. Tiles are either
+// identical or disjoint, which the assertion checks.
+template <class T, class Packed>
+bool packed_leaf([[maybe_unused]] bool d_kind, [[maybe_unused]] T* x,
+                 [[maybe_unused]] const T* u, [[maybe_unused]] const T* v,
+                 [[maybe_unused]] index_t m, [[maybe_unused]] index_t sx,
+                 [[maybe_unused]] index_t su, [[maybe_unused]] index_t sv,
+                 [[maybe_unused]] Packed&& packed) {
   if constexpr (GEP_SIMD_X86 && simd_vec_type<T>) {
-    if (x != u && x != v && simd::active() == simd::Level::Avx2) {
+    if (d_kind && simd::active() == simd::Level::Avx2) {
       assert(!tiles_overlap(x, sx, u, su, m) &&
              !tiles_overlap(x, sx, v, sv, m));
       simd::note_leaf(simd::Level::Avx2);
-      simd::semiring_tile(sr, x, u, v, m, sx, su, sv);
+      packed(x);
       return true;
     }
   }
@@ -327,98 +274,87 @@ bool semiring_packed(simd::Semiring sr, T* x, const T* u, const T* v,
 }  // namespace detail
 
 // --- dispatch wrappers (the names every engine calls) ----------------------
+//
+// FW/bottleneck leaves have no diag flags: a leaf is D-kind when x is
+// neither u nor v. GE/LU leaves are D-kind when neither flag is set, and
+// MM leaves always are; both take the packed GEMM from kGemmMinM rows.
 
 template <class T>
 void kernel_fw(T* x, const T* u, const T* v, index_t m, index_t sx,
                index_t su, index_t sv) {
-  if (detail::semiring_packed(simd::Semiring::MinPlus, x, u, v, m, sx, su,
-                              sv)) {
-    return;
+  if (!detail::packed_leaf(x != u && x != v, x, u, v, m, sx, su, sv,
+                           [&](auto* px) {
+                             simd::semiring_tile(simd::Semiring::MinPlus, px,
+                                                 u, v, m, sx, su, sv);
+                           })) {
+    scalar::kernel_fw(x, u, v, m, sx, su, sv);
   }
-  scalar::kernel_fw(x, u, v, m, sx, su, sv);
+}
+
+template <class T>
+void kernel_bottleneck(T* x, const T* u, const T* v, index_t m, index_t sx,
+                       index_t su, index_t sv) {
+  if (!detail::packed_leaf(x != u && x != v, x, u, v, m, sx, su, sv,
+                           [&](auto* px) {
+                             simd::semiring_tile(simd::Semiring::MaxMin, px,
+                                                 u, v, m, sx, su, sv);
+                           })) {
+    scalar::kernel_bottleneck(x, u, v, m, sx, su, sv);
+  }
 }
 
 template <class T>
 void kernel_ge(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
                bool diag_j) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
-        // D-kind leaf: fold the division into A-packing, run as GEMM.
-        simd::gemm_tile_scaled(x, u, v, w, m, sx, su, sv, sw);
-      } else {
-        simd::ge_avx2(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
+  // D-kind: the division folds into A-packing, the leaf runs as a GEMM.
+  if (!detail::packed_leaf(
+          !diag_i && !diag_j && m >= simd::kGemmMinM, x, u, v, m, sx, su, sv,
+          [&](auto* px) {
+            simd::gemm_tile_scaled(px, u, v, w, m, sx, su, sv, sw);
+          })) {
+    scalar::kernel_ge(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_ge(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
 }
 
+// D-kind LU leaves never consult the guard (diag_j is false), so guarded
+// and unguarded runs route identically.
 template <class T>
 void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
-               bool diag_j) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
-        // D-kind leaf: multipliers already live in u — pure schur GEMM.
-        simd::gemm_tile(x, u, v, m, sx, su, sv, T{-1});
-      } else {
-        // lu_avx2 takes w mutable for the guarded variant; the
-        // unguarded call (guard == nullptr) never writes through it.
-        simd::lu_avx2(x, u, v, const_cast<T*>(w), m, sx, su, sv, sw, diag_i,
-                      diag_j, /*guard=*/nullptr, /*k_base=*/0);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
+               bool diag_j, const PivotGuard* guard = nullptr,
+               index_t k_base = 0) {
+  // D-kind: the multipliers already live in u — a pure Schur GEMM.
+  if (!detail::packed_leaf(
+          !diag_i && !diag_j && m >= simd::kGemmMinM, x, u, v, m, sx, su, sv,
+          [&](auto* px) {
+            simd::gemm_tile(px, u, v, m, sx, su, sv, T{-1});
+          })) {
+    scalar::kernel_lu(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard,
+                      k_base);
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_lu(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
 }
 
 template <class T>
-void kernel_lu_guarded(T* x, const T* u, const T* v, T* w, index_t m,
-                       index_t sx, index_t su, index_t sv, index_t sw,
-                       bool diag_i, bool diag_j, const PivotGuard& guard,
-                       index_t k_base) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
-        // D-kind never consults the guard (diag_j is false) — identical
-        // routing to kernel_lu keeps guarded == unguarded bitwise.
-        simd::gemm_tile(x, u, v, m, sx, su, sv, T{-1});
-      } else {
-        simd::lu_avx2(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, &guard,
-                      k_base);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
+void kernel_mm(T* x, const T* u, const T* v, index_t m, index_t sx,
+               index_t su, index_t sv) {
+  if (!detail::packed_leaf(m >= simd::kGemmMinM, x, u, v, m, sx, su, sv,
+                           [&](auto* px) {
+                             simd::gemm_tile(px, u, v, m, sx, su, sv, T{1});
+                           })) {
+    scalar::kernel_mm(x, u, v, m, sx, su, sv);
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_lu_guarded(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j,
-                            guard, k_base);
 }
 
-// Successor tracking is branchy per element (data-dependent stores), so
-// it stays on the scalar path at every dispatch level.
+// TC's byte sweep and FW-paths' branchy successor stores have no packed
+// kernel: the scalar template runs at every dispatch level.
+template <class T>
+void kernel_tc(T* x, const T* u, const T* v, index_t m, index_t sx,
+               index_t su, index_t sv) {
+  simd::note_leaf(simd::Level::Scalar);
+  scalar::kernel_tc(x, u, v, m, sx, su, sv);
+}
+
 template <class T, class I>
 void kernel_fw_paths(T* x, const T* u, const T* v, I* sx_succ,
                      const I* su_succ, index_t m, index_t sx, index_t su,
@@ -426,58 +362,6 @@ void kernel_fw_paths(T* x, const T* u, const T* v, I* sx_succ,
   simd::note_leaf(simd::Level::Scalar);
   scalar::kernel_fw_paths(x, u, v, sx_succ, su_succ, m, sx, su, sv, ssx,
                           ssu);
-}
-
-template <class T>
-void kernel_bottleneck(T* x, const T* u, const T* v, index_t m, index_t sx,
-                       index_t su, index_t sv) {
-  if (detail::semiring_packed(simd::Semiring::MaxMin, x, u, v, m, sx, su,
-                              sv)) {
-    return;
-  }
-  scalar::kernel_bottleneck(x, u, v, m, sx, su, sv);
-}
-
-template <class T>
-void kernel_tc(T* x, const T* u, const T* v, index_t m, index_t sx,
-               index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_byte_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::tc_avx2(reinterpret_cast<std::uint8_t*>(x),
-                    reinterpret_cast<const std::uint8_t*>(u),
-                    reinterpret_cast<const std::uint8_t*>(v), m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_tc(x, u, v, m, sx, su, sv);
-}
-
-template <class T>
-void kernel_mm(T* x, const T* u, const T* v, index_t m, index_t sx,
-               index_t su, index_t sv) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (m >= simd::gemm_min_m()) {
-        simd::gemm_tile(x, u, v, m, sx, su, sv, T{1});
-      } else {
-        simd::mm_avx2(x, u, v, m, sx, su, sv);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_mm(x, u, v, m, sx, su, sv);
 }
 
 }  // namespace gep

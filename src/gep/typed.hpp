@@ -23,17 +23,14 @@
 // fn) once per stage; DagExec (parallel/task_graph.hpp) runs the same
 // leaves, in the same emission order, on the DAG runtime. Stores are
 // TileStores (row-major or Z-Morton; layout/zblocked.hpp). Leaves are
-// base-size tiles dispatched to the kernels in kernels.hpp — which
-// themselves runtime-dispatch to the AVX2/FMA implementations in simd/
-// when the host supports them. The BoxKind matters for more than
-// ordering: the di/dj flags each leaf derives from it tell the kernel
-// wrappers when a tile is fully disjoint (D-kind, di == dj == false),
-// which is what licenses routing GE/LU/MM leaves through the
-// packed-panel GEMM (simd/gemm_leaf.hpp). Those D-kind leaves are in
-// turn Strassen-eligible: gemm_tile[_scaled] consults simd/strassen.hpp
-// first, so a leaf box whose edge clears strassen_min_m() (384 by
-// default — i.e. a base size that large) runs the fused Strassen path
-// with no changes here.
+// base-size tiles dispatched to the kernels in kernels.hpp. The BoxKind
+// matters for more than ordering: the di/dj flags each leaf derives from
+// it tell the kernel wrappers when a tile is fully disjoint (D-kind,
+// di == dj == false), the one kind that runs a packed AVX2 micro-kernel
+// when the host supports it (simd/gemm_leaf.hpp); every other box runs
+// its scalar template. GE/LU/MM D-kind leaves whose edge reaches
+// simd::kStrassenMinM (384 — i.e. a base size that large) run one fused
+// Strassen level (simd/strassen.hpp) with no changes here.
 #pragma once
 
 #include <array>

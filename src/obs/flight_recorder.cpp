@@ -37,13 +37,17 @@ static_assert((kRingEvents & kRingMask) == 0, "ring size must be pow2");
 // stored, so a runaway trace degrades instead of OOMing the process.
 constexpr std::size_t kMaxSpansPerThread = 1u << 20;
 
-// One thread's record. Allocated on the thread's first record() and
-// intentionally leaked: a dump may run (from a signal handler or the
-// watchdog) after the owning thread exited, and its tail of events is
-// exactly what such a dump is for.
+// One thread's record. Claimed on the thread's first record() — a ring
+// an exited thread freed, else a new one — and never deleted: a dump may
+// run (from a signal handler or the watchdog) after the owning thread
+// exited, and its tail of events is exactly what such a dump is for. A
+// reused ring keeps its events and spans, so a dump or trace still shows
+// what exited threads did, and the ring count stays at the peak number
+// of live recording threads.
 struct Ring {
   Event ev[kRingEvents];
   std::atomic<std::uint64_t> seq{0};
+  std::atomic<bool> owned{true};  // a live thread records here
   char name[24] = {};
   std::uint32_t tid = 0;
   Ring* next = nullptr;  // the older ring; set before this one is published
@@ -53,9 +57,9 @@ struct Ring {
   std::uint64_t spans_dropped = 0;
 };
 
-// Newest ring first. Rings are only ever pushed, so a walk from one
-// load of the head sees a fixed list — with nothing but atomic loads,
-// which a signal handler may do.
+// Newest ring first. Rings are only ever pushed, never unlinked, so a
+// walk from one load of the head sees a fixed list — with nothing but
+// atomic loads, which a signal handler may do.
 std::atomic<Ring*> g_head{nullptr};
 std::atomic<std::uint32_t> g_next_tid{0};
 
@@ -74,16 +78,51 @@ struct OldActions {
 };
 
 thread_local Ring* t_ring = nullptr;
+thread_local bool t_exiting = false;
+
+// Frees the thread's ring for a later thread when the thread exits. A
+// TLS destructor that runs after this one and records gets a ring of
+// its own from ring_slow (t_ring is null again), never this one, which
+// another thread may own by then.
+struct RingRelease {
+  ~RingRelease() {
+    t_exiting = true;
+    Ring* r = t_ring;
+    t_ring = nullptr;
+    // Release: the next owner sees everything this thread wrote.
+    if (r != nullptr) r->owned.store(false, std::memory_order_release);
+  }
+};
+thread_local RingRelease t_release;
+
+Ring* claim_free_ring() {
+  for (Ring* r = rings(); r != nullptr; r = r->next) {
+    bool owned = false;
+    if (!r->owned.load(std::memory_order_relaxed) &&
+        r->owned.compare_exchange_strong(owned, true,
+                                         std::memory_order_acquire)) {
+      return r;
+    }
+  }
+  return nullptr;
+}
 
 Ring* ring_slow() {
-  Ring* r = new Ring();
-  r->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
-  r->next = g_head.load(std::memory_order_relaxed);
-  while (!g_head.compare_exchange_weak(r->next, r, std::memory_order_release,
-                                       std::memory_order_relaxed)) {
+  Ring* r = claim_free_ring();
+  if (r == nullptr) {
+    r = new Ring();
+    r->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed) + 1;
+    r->next = g_head.load(std::memory_order_relaxed);
+    while (!g_head.compare_exchange_weak(r->next, r,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+    }
   }
+  std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
   t_ring = r;
+  // The first use of the thread_local registers its destructor; a
+  // thread already past it keeps the ring.
+  if (!t_exiting) (void)&t_release;
   return r;
 }
 

@@ -48,10 +48,19 @@ void macro_loop(T* x, const T* v, index_t m, index_t sx, index_t sv,
 }
 
 // x += alpha * packed(u') * v, where u' is either u or u scaled by
-// 1/diag(w) (Scaled = GE multiplier fold).
+// 1/diag(w) (Scaled = GE multiplier fold): one Strassen level from the
+// crossover (strassen_engages) up, the classic packed path below it.
 template <class T, bool Scaled>
 void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
+  if (strassen_engages(m, m, m)) {
+    if constexpr (Scaled) {
+      strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw);
+    } else {
+      strassen_gemm(m, m, m, alpha, u, su, v, sv, x, sx);
+    }
+    return;
+  }
   constexpr index_t MR = kMicroRows;
   constexpr index_t NR = micro_cols<T>();
 #if GEP_SIMD_X86
@@ -97,31 +106,23 @@ void semiring_impl(Semiring sr, T* x, const T* u, const T* v, index_t m,
 
 }  // namespace
 
-// Each entry point consults the Strassen layer first; it engages only
-// above the measured crossover (strassen_min_m) and returns false
-// otherwise, keeping sub-threshold leaves bit-identical to the classic
-// packed path.
 void gemm_tile(double* x, const double* u, const double* v, index_t m,
                index_t sx, index_t su, index_t sv, double alpha) {
-  if (strassen_gemm(m, m, m, alpha, u, su, v, sv, x, sx)) return;
   gemm_impl<double, false>(x, u, v, nullptr, m, sx, su, sv, 0, alpha);
 }
 void gemm_tile(float* x, const float* u, const float* v, index_t m,
                index_t sx, index_t su, index_t sv, float alpha) {
-  if (strassen_gemm(m, m, m, alpha, u, su, v, sv, x, sx)) return;
   gemm_impl<float, false>(x, u, v, nullptr, m, sx, su, sv, 0, alpha);
 }
 
 void gemm_tile_scaled(double* x, const double* u, const double* v,
                       const double* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw) {
-  if (strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw)) return;
   gemm_impl<double, true>(x, u, v, w, m, sx, su, sv, sw, -1.0);
 }
 void gemm_tile_scaled(float* x, const float* u, const float* v,
                       const float* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw) {
-  if (strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw)) return;
   gemm_impl<float, true>(x, u, v, w, m, sx, su, sv, sw, -1.0f);
 }
 

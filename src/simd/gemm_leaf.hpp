@@ -8,10 +8,12 @@
 // k-sweep" that makes the leaf compute-bound.
 //
 // gep/kernels.hpp routes GEMM leaves here only for tiles with
-// m >= gemm_min_m(); below that the packing overhead loses to the plain
-// vectorized sweep. The threshold depends only on m, so a run's numeric
-// path is deterministic. Semiring leaves route at every m: keeping the
-// X tile in registers wins even at m = 32.
+// m >= kGemmMinM; below that the packing overhead loses to the
+// vectorized scalar template. gemm_tile[_scaled] run one Strassen
+// level (simd/strassen.hpp) from kStrassenMinM up. Both thresholds
+// depend only on m, so a run's numeric path is deterministic. Semiring
+// leaves route at every m: keeping the X tile in registers wins even at
+// m = 32.
 #pragma once
 
 #include "matrix/matrix.hpp"
@@ -19,14 +21,8 @@
 
 namespace gep::simd {
 
-// Default minimum tile edge for packed-GEMM routing (see
-// docs/KERNELS.md). The effective threshold is gemm_min_m().
+// Minimum tile edge for packed-GEMM routing (see docs/KERNELS.md).
 inline constexpr index_t kGemmMinM = 16;
-
-// Effective packed-GEMM threshold: $GEP_GEMM_MIN_M if set, else
-// kGemmMinM. Read once per process (defined in strassen.cpp alongside
-// the Strassen routing knobs — both thresholds share one mechanism).
-index_t gemm_min_m();
 
 // x(m x m, row stride sx) += alpha * u(m x m, su) * v(m x m, sv).
 // x must not alias u or v (D-kind contract). alpha = +1 serves

@@ -179,10 +179,10 @@ constexpr index_t packed_b_size(index_t kc, index_t nc) {
 // operand is a ±1 linear combination of up to kMaxGemmOperands source
 // quadrants (formed on the fly while packing) and whose product is
 // scattered to up to kMaxGemmOperands C quadrants with ±1 coefficients
-// (applied in the micro-kernel's writeback). Two Strassen levels square
-// the per-multiply operand count from <=2 to <=4, hence the cap.
+// (applied in the micro-kernel writeback). One Strassen level reads and
+// writes at most two quadrants per multiply, hence the cap.
 
-inline constexpr int kMaxGemmOperands = 4;
+inline constexpr int kMaxGemmOperands = 2;
 
 // One source quadrant of a packed operand. `inv`, when non-null, points
 // at per-column reciprocals (the Gaussian-elimination multiplier fold of
@@ -292,23 +292,12 @@ template <class T>
 void pack_a_multi(const PackSrc<T>* s, int ns, index_t lda, index_t mc,
                   index_t kc, T* dst) {
   const bool inv = s[0].inv != nullptr;
-  switch (ns) {
-    case 1:
-      inv ? detail_pack::pack_a_multi_fixed<T, 1, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 1, false>(s, lda, mc, kc, dst);
-      return;
-    case 2:
-      inv ? detail_pack::pack_a_multi_fixed<T, 2, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 2, false>(s, lda, mc, kc, dst);
-      return;
-    case 3:
-      inv ? detail_pack::pack_a_multi_fixed<T, 3, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 3, false>(s, lda, mc, kc, dst);
-      return;
-    default:
-      inv ? detail_pack::pack_a_multi_fixed<T, 4, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 4, false>(s, lda, mc, kc, dst);
-      return;
+  if (ns == 1) {
+    inv ? detail_pack::pack_a_multi_fixed<T, 1, true>(s, lda, mc, kc, dst)
+        : detail_pack::pack_a_multi_fixed<T, 1, false>(s, lda, mc, kc, dst);
+  } else {
+    inv ? detail_pack::pack_a_multi_fixed<T, 2, true>(s, lda, mc, kc, dst)
+        : detail_pack::pack_a_multi_fixed<T, 2, false>(s, lda, mc, kc, dst);
   }
 }
 
@@ -316,19 +305,10 @@ void pack_a_multi(const PackSrc<T>* s, int ns, index_t lda, index_t mc,
 template <class T>
 void pack_b_multi(const PackSrc<T>* s, int ns, index_t ldb, index_t kc,
                   index_t nc, T* dst) {
-  switch (ns) {
-    case 1:
-      detail_pack::pack_b_multi_fixed<T, 1>(s, ldb, kc, nc, dst);
-      return;
-    case 2:
-      detail_pack::pack_b_multi_fixed<T, 2>(s, ldb, kc, nc, dst);
-      return;
-    case 3:
-      detail_pack::pack_b_multi_fixed<T, 3>(s, ldb, kc, nc, dst);
-      return;
-    default:
-      detail_pack::pack_b_multi_fixed<T, 4>(s, ldb, kc, nc, dst);
-      return;
+  if (ns == 1) {
+    detail_pack::pack_b_multi_fixed<T, 1>(s, ldb, kc, nc, dst);
+  } else {
+    detail_pack::pack_b_multi_fixed<T, 2>(s, ldb, kc, nc, dst);
   }
 }
 

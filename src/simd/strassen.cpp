@@ -1,9 +1,6 @@
 #include "simd/strassen.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/registry.hpp"
 #include "simd/dispatch.hpp"
@@ -14,32 +11,6 @@
 
 namespace gep::simd {
 namespace {
-
-long env_long(const char* name, long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  return end == s ? fallback : v;
-}
-
-int env_strassen_levels() {
-  static const int v = static_cast<int>(std::clamp<long>(
-      env_long("GEP_STRASSEN_LEVELS", kStrassenLevelsDefault), 0,
-      kStrassenMaxLevels));
-  return v;
-}
-
-index_t env_strassen_min_m() {
-  static const index_t v = std::max<long>(
-      env_long("GEP_STRASSEN_MIN_M", kStrassenMinMDefault),
-      kStrassenMinMFloor);
-  return v;
-}
-
-// Process-wide overrides installed by set_gemm_options; -1 = inherit.
-std::atomic<int> g_levels_override{-1};
-std::atomic<index_t> g_min_m_override{-1};
 
 // --- generalized packed GEMM ----------------------------------------------
 //
@@ -52,7 +23,7 @@ std::atomic<index_t> g_min_m_override{-1};
 
 // mc and kc are twice the classic path's 128 x 256: multi-source packs
 // and multi-destination writebacks make operand passes the scarce
-// resource (a sub-multiply streams up to 4 quadrants per pack and per
+// resource (a sub-multiply streams up to 2 quadrants per pack and per
 // k-chunk), so the Strassen macro loop trades micro-panel L1 residency
 // for fewer passes — kc = 512 halves the C writebacks, mc = 256 halves
 // the B-panel sweeps, and the packed A block (256 x 512 doubles = 1 MB)
@@ -136,7 +107,7 @@ void gemm_packed_multi(index_t m, index_t n, index_t k, T alpha,
   (void)use_avx2;
 }
 
-// --- Strassen recursion ----------------------------------------------------
+// --- one Strassen level ---------------------------------------------------
 //
 // Classic Strassen (not the Winograd variant): its 7-multiply schedule
 // is the one whose fused form needs no intermediate at all — every
@@ -177,96 +148,8 @@ constexpr Multiply kStrassenTable[7] = {
     {{{1, +1}, {3, -1}}, 2, {{2, +1}, {3, +1}}, 2, {{0, +1}, {0, 0}}, 1},
 };
 
-template <class T>
-void strassen_node(int levels, index_t min_m, index_t m, index_t n,
-                   index_t k, T alpha, const PackSrc<T>* as, int na,
-                   index_t lda, const PackSrc<T>* bs, int nb, index_t ldb,
-                   const GemmDest<T>* cs, int nd, index_t ldc) {
-  if (levels <= 0 || std::min({m, n, k}) < min_m ||
-      2 * na > kMaxGemmOperands || 2 * nb > kMaxGemmOperands ||
-      2 * nd > kMaxGemmOperands) {
-    gemm_packed_multi(m, n, k, alpha, as, na, lda, bs, nb, ldb, cs, nd, ldc);
-    return;
-  }
-  const index_t mh = m / 2, nh = n / 2, kh = k / 2;
-  const index_t mE = 2 * mh, nE = 2 * nh, kE = 2 * kh;
-
-  for (const Multiply& mul : kStrassenTable) {
-    PackSrc<T> a2[kMaxGemmOperands];
-    PackSrc<T> b2[kMaxGemmOperands];
-    GemmDest<T> c2[kMaxGemmOperands];
-    int na2 = 0, nb2 = 0, nd2 = 0;
-    for (int t = 0; t < mul.na; ++t) {
-      const index_t off =
-          (mul.a[t].q >> 1) * mh * lda + (mul.a[t].q & 1) * kh;
-      const index_t ioff = (mul.a[t].q & 1) * kh;
-      for (int s = 0; s < na; ++s) {
-        a2[na2++] = {as[s].p + off,
-                     static_cast<T>(mul.a[t].sign) * as[s].coeff,
-                     as[s].inv == nullptr ? nullptr : as[s].inv + ioff};
-      }
-    }
-    for (int t = 0; t < mul.nb; ++t) {
-      const index_t off =
-          (mul.b[t].q >> 1) * kh * ldb + (mul.b[t].q & 1) * nh;
-      for (int s = 0; s < nb; ++s) {
-        b2[nb2++] = {bs[s].p + off,
-                     static_cast<T>(mul.b[t].sign) * bs[s].coeff, nullptr};
-      }
-    }
-    for (int t = 0; t < mul.nc; ++t) {
-      const index_t off =
-          (mul.c[t].q >> 1) * mh * ldc + (mul.c[t].q & 1) * nh;
-      for (int s = 0; s < nd; ++s) {
-        c2[nd2++] = {cs[s].c + off,
-                     static_cast<T>(mul.c[t].sign) * cs[s].coeff};
-      }
-    }
-    strassen_node(levels - 1, min_m, mh, nh, kh, alpha, a2, na2, lda, b2,
-                  nb2, ldb, c2, nd2, ldc);
-  }
-
-  // Dynamic peeling for odd extents: the even core above covers
-  // C[0:mE, 0:nE] += A[0:mE, 0:kE] B[0:kE, 0:nE]; three thin packed
-  // GEMMs on the original operand lists finish the product.
-  if (kE < k) {  // last k column/row: rank-1 update of the even core
-    PackSrc<T> at[kMaxGemmOperands];
-    PackSrc<T> bt[kMaxGemmOperands];
-    for (int s = 0; s < na; ++s) {
-      at[s] = {as[s].p + kE, as[s].coeff,
-               as[s].inv == nullptr ? nullptr : as[s].inv + kE};
-    }
-    for (int s = 0; s < nb; ++s) {
-      bt[s] = {bs[s].p + kE * ldb, bs[s].coeff, nullptr};
-    }
-    gemm_packed_multi(mE, nE, k - kE, alpha, at, na, lda, bt, nb, ldb, cs,
-                      nd, ldc);
-  }
-  if (nE < n) {  // last column of C, full k
-    PackSrc<T> bt[kMaxGemmOperands];
-    GemmDest<T> ct[kMaxGemmOperands];
-    for (int s = 0; s < nb; ++s) {
-      bt[s] = {bs[s].p + nE, bs[s].coeff, nullptr};
-    }
-    for (int s = 0; s < nd; ++s) ct[s] = {cs[s].c + nE, cs[s].coeff};
-    gemm_packed_multi(mE, n - nE, k, alpha, as, na, lda, bt, nb, ldb, ct,
-                      nd, ldc);
-  }
-  if (mE < m) {  // last row of C, full n and k
-    PackSrc<T> at[kMaxGemmOperands];
-    GemmDest<T> ct[kMaxGemmOperands];
-    for (int s = 0; s < na; ++s) {
-      at[s] = {as[s].p + mE * lda, as[s].coeff, as[s].inv};
-    }
-    for (int s = 0; s < nd; ++s) ct[s] = {cs[s].c + mE * ldc, cs[s].coeff};
-    gemm_packed_multi(m - mE, n, k, alpha, at, na, lda, bs, nb, ldb, ct, nd,
-                      ldc);
-  }
-}
-
 struct StrassenCounters {
   obs::Counter calls = obs::counter("kernels.strassen.calls");
-  obs::Counter levels = obs::counter("kernels.strassen.levels");
   obs::Counter fallbacks = obs::counter("kernels.strassen.fallbacks");
 };
 
@@ -275,23 +158,66 @@ StrassenCounters& counters() {
   return c;
 }
 
+// One Strassen level over c += alpha * a' * b, a' = a scaled by the
+// per-column reciprocals inv when non-null (the GE multiplier fold).
 template <class T>
-bool strassen_gemm_impl(index_t m, index_t n, index_t k, T alpha, const T* a,
-                        index_t lda, const T* b, index_t ldb, T* c,
-                        index_t ldc, const T* inv) {
-  const int planned = strassen_planned_levels(m, n, k);
-  if (planned == 0) {
-    if (strassen_levels() > 0) counters().fallbacks.inc();
-    return false;
-  }
+void strassen_level(index_t m, index_t n, index_t k, T alpha, const T* a,
+                    index_t lda, const T* inv, const T* b, index_t ldb, T* c,
+                    index_t ldc) {
   counters().calls.inc();
-  counters().levels.inc(static_cast<std::uint64_t>(planned));
-  const PackSrc<T> as{a, T{1}, inv};
-  const PackSrc<T> bs{b, T{1}, nullptr};
-  const GemmDest<T> cs{c, T{1}};
-  strassen_node(planned, strassen_min_m(), m, n, k, alpha, &as, 1, lda, &bs,
-                1, ldb, &cs, 1, ldc);
-  return true;
+  const index_t mh = m / 2, nh = n / 2, kh = k / 2;
+  const index_t mE = 2 * mh, nE = 2 * nh, kE = 2 * kh;
+  auto a_src = [&](index_t row, index_t col, T coeff) {
+    return PackSrc<T>{a + row * lda + col, coeff,
+                      inv == nullptr ? nullptr : inv + col};
+  };
+  auto b_src = [&](index_t row, index_t col, T coeff) {
+    return PackSrc<T>{b + row * ldb + col, coeff, nullptr};
+  };
+
+  for (const Multiply& mul : kStrassenTable) {
+    PackSrc<T> a2[kMaxGemmOperands];
+    PackSrc<T> b2[kMaxGemmOperands];
+    GemmDest<T> c2[kMaxGemmOperands];
+    for (int t = 0; t < mul.na; ++t) {
+      const QuadTerm& q = mul.a[t];
+      a2[t] = a_src((q.q >> 1) * mh, (q.q & 1) * kh, static_cast<T>(q.sign));
+    }
+    for (int t = 0; t < mul.nb; ++t) {
+      const QuadTerm& q = mul.b[t];
+      b2[t] = b_src((q.q >> 1) * kh, (q.q & 1) * nh, static_cast<T>(q.sign));
+    }
+    for (int t = 0; t < mul.nc; ++t) {
+      const QuadTerm& q = mul.c[t];
+      c2[t] = {c + (q.q >> 1) * mh * ldc + (q.q & 1) * nh,
+               static_cast<T>(q.sign)};
+    }
+    gemm_packed_multi(mh, nh, kh, alpha, a2, mul.na, lda, b2, mul.nb, ldb, c2,
+                      mul.nc, ldc);
+  }
+
+  // Dynamic peeling for odd extents: the even core above covers
+  // C[0:mE, 0:nE] += A[0:mE, 0:kE] B[0:kE, 0:nE]; three thin packed
+  // GEMMs on the original operands finish the product.
+  const PackSrc<T> as = a_src(0, 0, T{1}), bs = b_src(0, 0, T{1});
+  if (kE < k) {  // last k column/row: rank-1 update of the even core
+    const PackSrc<T> at = a_src(0, kE, T{1}), bt = b_src(kE, 0, T{1});
+    const GemmDest<T> ct{c, T{1}};
+    gemm_packed_multi(mE, nE, k - kE, alpha, &at, 1, lda, &bt, 1, ldb, &ct, 1,
+                      ldc);
+  }
+  if (nE < n) {  // last column of C, full k
+    const PackSrc<T> bt = b_src(0, nE, T{1});
+    const GemmDest<T> ct{c + nE, T{1}};
+    gemm_packed_multi(mE, n - nE, k, alpha, &as, 1, lda, &bt, 1, ldb, &ct, 1,
+                      ldc);
+  }
+  if (mE < m) {  // last row of C, full n and k
+    const PackSrc<T> at = a_src(mE, 0, T{1});
+    const GemmDest<T> ct{c + mE * ldc, T{1}};
+    gemm_packed_multi(m - mE, n, k, alpha, &at, 1, lda, &bs, 1, ldb, &ct, 1,
+                      ldc);
+  }
 }
 
 // Reciprocal vector for the scaled (GE multiplier fold) path: one
@@ -311,89 +237,34 @@ T* reciprocal_buffer(const T* w, index_t sw, index_t k) {
 
 }  // namespace
 
-int strassen_levels() {
-  const int o = g_levels_override.load(std::memory_order_relaxed);
-  if (o >= 0) return std::min(o, kStrassenMaxLevels);
-  return env_strassen_levels();
+bool strassen_engages(index_t m, index_t n, index_t k) {
+  if (std::min({m, n, k}) >= kStrassenMinM) return true;
+  counters().fallbacks.inc();
+  return false;
 }
 
-index_t strassen_min_m() {
-  const index_t o = g_min_m_override.load(std::memory_order_relaxed);
-  if (o >= 0) return std::max(o, kStrassenMinMFloor);
-  return env_strassen_min_m();
-}
-
-index_t gemm_min_m() {
-  static const index_t v =
-      std::max<long>(1, env_long("GEP_GEMM_MIN_M", kGemmMinM));
-  return v;
-}
-
-void set_gemm_options(const GemmOptions& opts) {
-  g_levels_override.store(opts.strassen_levels, std::memory_order_relaxed);
-  g_min_m_override.store(opts.strassen_min_m, std::memory_order_relaxed);
-}
-
-void clear_gemm_options() {
-  g_levels_override.store(-1, std::memory_order_relaxed);
-  g_min_m_override.store(-1, std::memory_order_relaxed);
-}
-
-ScopedGemmOptions::ScopedGemmOptions(const GemmOptions& opts)
-    : prev_levels_(g_levels_override.load(std::memory_order_relaxed)),
-      prev_min_m_(g_min_m_override.load(std::memory_order_relaxed)) {
-  set_gemm_options(opts);
-}
-
-ScopedGemmOptions::~ScopedGemmOptions() {
-  g_levels_override.store(prev_levels_, std::memory_order_relaxed);
-  g_min_m_override.store(prev_min_m_, std::memory_order_relaxed);
-}
-
-int strassen_planned_levels(index_t m, index_t n, index_t k) {
-  const int levels = strassen_levels();
-  const index_t min_m = strassen_min_m();
-  int applied = 0;
-  index_t edge = std::min({m, n, k});
-  while (applied < levels && edge >= min_m) {
-    ++applied;
-    edge /= 2;
-  }
-  return applied;
-}
-
-bool strassen_gemm(index_t m, index_t n, index_t k, double alpha,
+void strassen_gemm(index_t m, index_t n, index_t k, double alpha,
                    const double* a, index_t lda, const double* b, index_t ldb,
                    double* c, index_t ldc) {
-  return strassen_gemm_impl<double>(m, n, k, alpha, a, lda, b, ldb, c, ldc,
-                                    nullptr);
+  strassen_level<double>(m, n, k, alpha, a, lda, nullptr, b, ldb, c, ldc);
 }
-bool strassen_gemm(index_t m, index_t n, index_t k, float alpha,
+void strassen_gemm(index_t m, index_t n, index_t k, float alpha,
                    const float* a, index_t lda, const float* b, index_t ldb,
                    float* c, index_t ldc) {
-  return strassen_gemm_impl<float>(m, n, k, alpha, a, lda, b, ldb, c, ldc,
-                                   nullptr);
+  strassen_level<float>(m, n, k, alpha, a, lda, nullptr, b, ldb, c, ldc);
 }
 
-bool strassen_gemm_scaled(double* x, const double* u, const double* v,
+void strassen_gemm_scaled(double* x, const double* u, const double* v,
                           const double* w, index_t m, index_t sx, index_t su,
                           index_t sv, index_t sw) {
-  if (strassen_planned_levels(m, m, m) == 0) {
-    if (strassen_levels() > 0) counters().fallbacks.inc();
-    return false;
-  }
-  const double* inv = reciprocal_buffer(w, sw, m);
-  return strassen_gemm_impl<double>(m, m, m, -1.0, u, su, v, sv, x, sx, inv);
+  strassen_level(m, m, m, -1.0, u, su, reciprocal_buffer(w, sw, m), v, sv, x,
+                 sx);
 }
-bool strassen_gemm_scaled(float* x, const float* u, const float* v,
+void strassen_gemm_scaled(float* x, const float* u, const float* v,
                           const float* w, index_t m, index_t sx, index_t su,
                           index_t sv, index_t sw) {
-  if (strassen_planned_levels(m, m, m) == 0) {
-    if (strassen_levels() > 0) counters().fallbacks.inc();
-    return false;
-  }
-  const float* inv = reciprocal_buffer(w, sw, m);
-  return strassen_gemm_impl<float>(m, m, m, -1.0f, u, su, v, sv, x, sx, inv);
+  strassen_level(m, m, m, -1.0f, u, su, reciprocal_buffer(w, sw, m), v, sv,
+                 x, sx);
 }
 
 }  // namespace gep::simd

@@ -196,9 +196,9 @@ TEST(MultiThreadedApps, MatchSingleThreaded) {
   EXPECT_TRUE(approx_equal(c1, c2, 0.0));
 }
 
-// Threads the flight recorder has seen (it keeps one ring per thread
-// ever started), read from a dump's header.
-std::uint32_t recorded_threads() {
+// Rings the flight recorder keeps (one per thread live at a time: an
+// exited thread's ring is reused), read from a dump's header.
+std::uint32_t recorded_rings() {
   const char* path = "apps_pool.gepdump";
   EXPECT_TRUE(obs::flight::dump(path));
   obs::flightfmt::FileHeader h{};
@@ -215,25 +215,26 @@ std::uint32_t recorded_threads() {
 // Multithreaded app calls borrow one kept pool per worker count, so
 // calls after the first start no threads (each started thread would
 // leave a flight ring behind for good).
-TEST(MultiThreadedApps, RepeatedCallsStartNoThreads) {
+TEST(MultiThreadedApps, RepeatedCallsKeepRingCountBounded) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const index_t n = 64;
   const Matrix<double> w = random_graph(n, 12, 0.3);
   Matrix<double> d = w;
   apps::floyd_warshall(d, Engine::IGep, {8, 4});
-  const std::uint32_t before = recorded_threads();
+  const std::uint32_t before = recorded_rings();
   for (int i = 0; i < 5; ++i) {
     d = w;
     apps::floyd_warshall(d, Engine::IGep, {8, 4});
   }
-  // A worker creates its ring when it first runs, which on a loaded host
-  // can be after the first call returned: allow one pool's 3 workers.
-  // A pool per call would add 3 threads per call.
-  EXPECT_LE(recorded_threads(), before + 3);
+  // Each call starts a pool whose exiting workers free their rings for
+  // the next call's: allow one pool's 3 workers (the first call's may
+  // not all have recorded). Rings that were never freed would add 3 per
+  // call.
+  EXPECT_LE(recorded_rings(), before + 3);
 }
 
-// Concurrent callers each get a pool of their own (the kept one or a
-// fresh one) and match the single-threaded result.
+// Concurrent callers each start a pool of their own and match the
+// single-threaded result.
 TEST(MultiThreadedApps, ConcurrentCallsMatchSingleThreaded) {
   const index_t n = 64;
   const Matrix<double> w = random_graph(n, 13, 0.3);

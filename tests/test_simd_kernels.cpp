@@ -1,22 +1,21 @@
 // SIMD-vs-scalar contract of the dispatched base-case kernels.
 //
-// Semiring kernels (fw, bottleneck, tc) must be BIT-EXACT against the
-// scalar templates; the FMA kernels (ge, lu, mm) must agree within
-// tolerance across every box kind (including the aliased A/B/C-kind
-// operand patterns the typed engine produces) and be deterministic
-// run-to-run at a fixed dispatch level. The guarded LU kernel must be
-// bit-identical to the unguarded one on healthy input, per level.
+// One rule routes leaves (detail::packed_leaf in gep/kernels.hpp): at
+// Level::Avx2 a D-kind double/float leaf runs a packed micro-kernel,
+// every other leaf its scalar template. So semiring kernels (fw,
+// bottleneck, tc) are BIT-EXACT against the scalar templates at every
+// level; aliased A/B/C-kind GE/LU boxes and leaves below kGemmMinM are
+// bit-exact too (they ARE the scalar template), while D-kind GE/LU/MM
+// leaves on the packed FMA GEMM agree within tolerance and are
+// deterministic run-to-run. A guarded LU must be bit-identical to the
+// unguarded one on healthy input, per level.
 //
-// The semiring and FMA kernels are all compared through the gep::kernel_*
-// wrappers at a forced dispatch level, so the tests exercise the real
-// routing; only the TC byte kernel is called directly (simd::tc_avx2),
-// because in AVX-512 TUs its wrapper keeps the autovectorized scalar
-// template (GEP_SIMD_ROUTE_SEMIRING in gep/kernels.hpp).
+// Every kernel is compared through the gep::kernel_* wrappers at a
+// forced dispatch level, so the tests exercise the real routing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -122,7 +121,7 @@ TEST_F(SimdKernels, DispatchCountersTick) {
   REQUIRE_AVX2();
   obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
   obs::Counter scalar = obs::counter("kernels.dispatch.scalar");
-  const index_t m = 8;
+  const index_t m = simd::kGemmMinM;
   auto x = random_tile(m, m, 1, -1, 1);
   auto u = random_tile(m, m, 2, -1, 1);
   auto v = random_tile(m, m, 3, -1, 1);
@@ -132,8 +131,15 @@ TEST_F(SimdKernels, DispatchCountersTick) {
   kernel_mm(x.data(), u.data(), v.data(), m, m, m, m);
   EXPECT_EQ(avx2.value(), a0 + 1);
 
+  // Below the packed-GEMM threshold the leaf is the scalar template at
+  // Avx2 too, and ticks the scalar counter.
+  std::uint64_t s0 = scalar.value();
+  kernel_mm(x.data(), u.data(), v.data(), m - 1, m, m, m);
+  EXPECT_EQ(scalar.value(), s0 + 1);
+  EXPECT_EQ(avx2.value(), a0 + 1);
+
   simd::force_level(simd::Level::Scalar);
-  const std::uint64_t s0 = scalar.value();
+  s0 = scalar.value();
   kernel_mm(x.data(), u.data(), v.data(), m, m, m, m);
   EXPECT_EQ(scalar.value(), s0 + 1);
 }
@@ -255,9 +261,9 @@ TEST_F(SimdKernels, TransitiveClosureBitExact) {
       auto x_v = x_s;
       scalar::kernel_tc(x_s.data(), u.data(), v.data(), m, stride, stride,
                         stride);
-#if GEP_SIMD_X86
-      simd::tc_avx2(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
-#endif
+      simd::force_level(simd::Level::Avx2);
+      kernel_tc(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
+      simd::clear_forced_level();
       EXPECT_EQ(0, std::memcmp(x_s.data(), x_v.data(), x_s.size()))
           << "m=" << m << " s=" << stride;
     }
@@ -265,6 +271,9 @@ TEST_F(SimdKernels, TransitiveClosureBitExact) {
 }
 
 // --- FMA kernels: tolerance + determinism across every box kind ------------
+//
+// Only D-kind leaves of at least kGemmMinM rows take the packed GEMM;
+// every other box runs the scalar template at Avx2 too, bit for bit.
 
 // Operand aliasing per box kind (how the typed engine calls them):
 //   A: x = u = v = w (one tile)    B: x = v, u = w
@@ -300,6 +309,12 @@ std::vector<double> run_boxed(const KindCase& kind, index_t m, index_t stride,
   return x;
 }
 
+// True when a GE/LU box of this kind and edge takes the packed GEMM at
+// Avx2.
+bool packed_gemm_leaf(const KindCase& kind, index_t m) {
+  return !kind.di && !kind.dj && m >= simd::kGemmMinM;
+}
+
 TEST_F(SimdKernels, GaussianEliminationMatchesScalarAllKinds) {
   REQUIRE_AVX2();
   for (const KindCase& kind : kKinds) {
@@ -317,6 +332,10 @@ TEST_F(SimdKernels, GaussianEliminationMatchesScalarAllKinds) {
         // builds whose scalar baseline has no FMA contraction.
         EXPECT_LT(max_abs_diff(ref, got), 1e-11 * static_cast<double>(m))
             << "kind=" << kind.name << " m=" << m << " s=" << stride;
+        if (!packed_gemm_leaf(kind, m)) {
+          EXPECT_TRUE(bitwise_equal(ref, got))
+              << "kind=" << kind.name << " m=" << m << " s=" << stride;
+        }
         EXPECT_TRUE(bitwise_equal(got, again))
             << "non-deterministic: kind=" << kind.name << " m=" << m;
       }
@@ -341,6 +360,10 @@ TEST_F(SimdKernels, LuMatchesScalarAllKinds) {
         // contraction difference compounds through the elimination.
         EXPECT_LT(max_abs_diff(ref, got), 5e-11 * static_cast<double>(m))
             << "kind=" << kind.name << " m=" << m << " s=" << stride;
+        if (!packed_gemm_leaf(kind, m)) {
+          EXPECT_TRUE(bitwise_equal(ref, got))
+              << "kind=" << kind.name << " m=" << m << " s=" << stride;
+        }
         EXPECT_TRUE(bitwise_equal(got, again))
             << "non-deterministic: kind=" << kind.name << " m=" << m;
       }
@@ -360,8 +383,7 @@ TEST_F(SimdKernels, GuardedLuBitIdenticalToUnguardedPerLevel) {
         };
         auto guarded_op = [&](double* x, const double* u, const double* v,
                               const double* w) {
-          kernel_lu_guarded(x, u, v, const_cast<double*>(w), m, m, m, m, m,
-                            kind.di, kind.dj, guard, 0);
+          kernel_lu(x, u, v, w, m, m, m, m, m, kind.di, kind.dj, &guard, 0);
         };
         auto plain = run_boxed(kind, m, m, 300, level, plain_op);
         auto guarded = run_boxed(kind, m, m, 300, level, guarded_op);
@@ -402,12 +424,70 @@ TEST_F(SimdKernels, MatmulMatchesScalarAcrossGemmThreshold) {
 // The packed-GEMM route must kick in exactly at kGemmMinM — both sides
 // of the boundary already run in the loops above; this pins the
 // threshold itself so a silent change shows up as a test edit.
-// gemm_min_m() is the runtime value ($GEP_GEMM_MIN_M override); with
-// the env unset it must resolve to the same pinned default.
 TEST_F(SimdKernels, GemmThresholdIsStable) {
+  static_assert(simd::kGemmMinM == 16);
   EXPECT_EQ(simd::kGemmMinM, 16);
-  if (std::getenv("GEP_GEMM_MIN_M") == nullptr) {
-    EXPECT_EQ(simd::gemm_min_m(), simd::kGemmMinM);
+}
+
+// GE, LU and MM I-GEP at forced Avx2: kernels.dispatch.avx2 counts
+// exactly the D-kind leaves of at least kGemmMinM rows (all leaves of a
+// power-of-two run have m = bs), and the run stays within tolerance of
+// the scalar one. bs = 8 sits below the threshold, so nothing packs.
+TEST_F(SimdKernels, LinearAlgebraPacksOnlyLargeDKindLeaves) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  REQUIRE_AVX2();
+  const index_t n = 128;
+  WorkStealingPool pool(4);
+  obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
+  obs::Counter d_leaves = obs::counter("typed.leaf_calls.D");
+  obs::Counter mm_leaves = obs::counter("typed.mm.leaf_calls");
+  Matrix<double> a(n, n), b(n, n);
+  SplitMix64 g(11);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      a(i, j) = g.uniform(-1.0, 1.0) + (i == j ? 2.0 * n : 0.0);
+      b(i, j) = g.uniform(-1.0, 1.0);
+    }
+  }
+  enum class Problem { Ge, Lu, Mm };
+  for (Problem p : {Problem::Ge, Problem::Lu, Problem::Mm}) {
+    for (index_t bs : {8, 16, 64}) {
+      auto run = [&](simd::Level level, auto&& ex) {
+        Matrix<double> x = p == Problem::Mm ? Matrix<double>(n, n, 0.5) : a;
+        RowMajorStore<double> st{x.data(), n, bs};
+        RowMajorStore<double> sa{a.data(), n, bs}, sb{b.data(), n, bs};
+        simd::force_level(level);
+        const std::uint64_t a0 = avx2.value();
+        const std::uint64_t l0 =
+            p == Problem::Mm ? mm_leaves.value() : d_leaves.value();
+        if (p == Problem::Ge) igep_gaussian(ex, st, n, {bs});
+        if (p == Problem::Lu) igep_lu(ex, st, n, {bs});
+        if (p == Problem::Mm) igep_matmul(ex, st, sa, sb, n, {bs});
+        const std::uint64_t packed = avx2.value() - a0;
+        const std::uint64_t leaves =
+            (p == Problem::Mm ? mm_leaves.value() : d_leaves.value()) - l0;
+        simd::clear_forced_level();
+        if (level == simd::Level::Avx2) {
+          EXPECT_EQ(packed, bs >= simd::kGemmMinM ? leaves : 0u)
+              << "problem=" << static_cast<int>(p) << " bs=" << bs;
+          EXPECT_GT(leaves, 0u);
+        }
+        return x;
+      };
+      const Matrix<double> ref = run(simd::Level::Scalar, SeqInvoker{});
+      for (const Matrix<double>& got :
+           {run(simd::Level::Avx2, SeqInvoker{}),
+            run(simd::Level::Avx2, DagExec{&pool})}) {
+        double err = 0;
+        for (index_t i = 0; i < n; ++i) {
+          for (index_t j = 0; j < n; ++j) {
+            err = std::max(err, std::abs(got(i, j) - ref(i, j)));
+          }
+        }
+        EXPECT_LT(err, 1e-9) << "problem=" << static_cast<int>(p)
+                             << " bs=" << bs;
+      }
+    }
   }
 }
 

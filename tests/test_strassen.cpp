@@ -1,17 +1,17 @@
-// Strassen-fused packed GEMM (simd/strassen.*): numerics against the
-// classic path, engagement/fallback contract, determinism, the scaled
-// GE form, config plumbing, and the typed engine's Strassen-eligible
-// D-kind leaves gated by Freivalds / residual certificates.
+// Strassen-fused packed GEMM (simd/strassen.*): numerics of direct
+// strassen_gemm calls against the classic path (blas::dgemm_blocked)
+// and a naive reference, the constant crossover and fallback contract,
+// determinism, the scaled GE form, and the typed engine's
+// Strassen-eligible D-kind leaves gated by Freivalds / residual
+// certificates.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "blas/blas.hpp"
-#include "gep/kernels.hpp"
 #include "gep/numeric_guard.hpp"
 #include "obs/registry.hpp"
 #include "simd/dispatch.hpp"
@@ -67,68 +67,60 @@ Matrix<double> dd_matrix(index_t n, std::uint64_t seed) {
   return m;
 }
 
-// Defaults are measured on the dev/CI host (bench_kernels
-// --tune-strassen); pin them so a silent change shows up as a test
-// edit. Env overrides skip the pin, so the forced-Strassen CI leg can
-// still run this binary.
+// The classic packed path with its default blocking.
+void classic_gemm(index_t m, index_t n, index_t k, double alpha,
+                  const double* a, index_t lda, const double* b, index_t ldb,
+                  double* c, index_t ldc) {
+  blas::dgemm_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc,
+                      blas::GemmBlocking{});
+}
+
+// The crossover is measured on the dev/CI host (bench_kernels
+// --tune-strassen); pin it and the operand cap of one level so a silent
+// change shows up as a test edit.
 TEST(Strassen, PinnedDefaults) {
-  EXPECT_EQ(simd::kStrassenMaxLevels, 2);
-  EXPECT_EQ(simd::kStrassenLevelsDefault, 1);
-  EXPECT_EQ(simd::kStrassenMinMDefault, 384);
-  EXPECT_EQ(simd::kStrassenMinMFloor, 16);
-  EXPECT_EQ(simd::kMaxGemmOperands, 4);
-  if (std::getenv("GEP_STRASSEN_LEVELS") == nullptr) {
-    EXPECT_EQ(simd::strassen_levels(), simd::kStrassenLevelsDefault);
-  }
-  if (std::getenv("GEP_STRASSEN_MIN_M") == nullptr) {
-    EXPECT_EQ(simd::strassen_min_m(), simd::kStrassenMinMDefault);
-  }
+  EXPECT_EQ(simd::kStrassenMinM, 384);
+  EXPECT_EQ(simd::kMaxGemmOperands, 2);
 }
 
-TEST(Strassen, PlannedLevelsFollowsThreshold) {
-  {
-    simd::ScopedGemmOptions g({2, 16});
-    EXPECT_EQ(simd::strassen_planned_levels(64, 64, 64), 2);
-    EXPECT_EQ(simd::strassen_planned_levels(16, 64, 64), 1);  // 8 < 16 next
-    EXPECT_EQ(simd::strassen_planned_levels(15, 64, 64), 0);
-  }
-  {
-    simd::ScopedGemmOptions g({0, 16});
-    EXPECT_EQ(simd::strassen_planned_levels(4096, 4096, 4096), 0);
-  }
-  {
-    simd::ScopedGemmOptions g({1, 128});
-    EXPECT_EQ(simd::strassen_planned_levels(128, 128, 128), 1);
-    EXPECT_EQ(simd::strassen_planned_levels(127, 128, 128), 0);
-  }
+// Routing engages from min(m, n, k) >= kStrassenMinM up, on every axis.
+TEST(Strassen, EngagesFromCrossover) {
+  const index_t t = simd::kStrassenMinM;
+  EXPECT_TRUE(simd::strassen_engages(t, t, t));
+  EXPECT_TRUE(simd::strassen_engages(4096, t, 2 * t));
+  EXPECT_FALSE(simd::strassen_engages(t - 1, t, t));
+  EXPECT_FALSE(simd::strassen_engages(t, t - 1, t));
+  EXPECT_FALSE(simd::strassen_engages(t, t, t - 1));
+  EXPECT_FALSE(simd::strassen_engages(0, 4096, 4096));
 }
 
-// Forward error vs the classic path across square, non-square, odd
-// (dynamic peeling), and micro-tile-fringe shapes, at both depths.
+// Forward error vs the naive reference and the classic path across
+// square, non-square, odd (dynamic peeling), and micro-tile-fringe
+// shapes.
 TEST(Strassen, ForwardErrorVsClassic) {
   struct Shape {
     index_t m, n, k;
   };
   const Shape shapes[] = {{64, 64, 64},  {96, 96, 96},   {97, 97, 97},
                           {64, 80, 48},  {33, 65, 129},  {128, 37, 90},
-                          {130, 130, 62}};
-  for (int levels : {1, 2}) {
-    for (const Shape& s : shapes) {
-      auto a = random_buf(s.m * s.k, 101), b = random_buf(s.k * s.n, 102);
-      auto ref = random_buf(s.m * s.n, 103);
-      auto got = ref;
-      naive_gemm(s.m, s.n, s.k, 0.5, a.data(), s.k, b.data(), s.n, ref.data(),
-                 s.n);
-      simd::ScopedGemmOptions g({levels, 16});
-      ASSERT_TRUE(simd::strassen_gemm(s.m, s.n, s.k, 0.5, a.data(), s.k,
-                                      b.data(), s.n, got.data(), s.n))
-          << "did not engage at m=" << s.m;
-      // Strassen inflates the classic O(k eps) bound by a constant per
-      // level; these shapes with |a|,|b| <= 1 stay comfortably inside.
-      EXPECT_LT(max_abs_diff(ref, got), 1e-11)
-          << "levels=" << levels << " m=" << s.m << " n=" << s.n
-          << " k=" << s.k;
-    }
+                          {130, 130, 62}, {385, 390, 401}};
+  for (const Shape& s : shapes) {
+    auto a = random_buf(s.m * s.k, 101), b = random_buf(s.k * s.n, 102);
+    auto ref = random_buf(s.m * s.n, 103);
+    auto classic = ref;
+    auto got = ref;
+    naive_gemm(s.m, s.n, s.k, 0.5, a.data(), s.k, b.data(), s.n, ref.data(),
+               s.n);
+    classic_gemm(s.m, s.n, s.k, 0.5, a.data(), s.k, b.data(), s.n,
+                 classic.data(), s.n);
+    simd::strassen_gemm(s.m, s.n, s.k, 0.5, a.data(), s.k, b.data(), s.n,
+                        got.data(), s.n);
+    // Strassen inflates the classic O(k eps) bound by a constant; these
+    // shapes with |a|,|b| <= 1 stay comfortably inside.
+    EXPECT_LT(max_abs_diff(ref, got), 1e-11)
+        << "m=" << s.m << " n=" << s.n << " k=" << s.k;
+    EXPECT_LT(max_abs_diff(classic, got), 1e-11)
+        << "m=" << s.m << " n=" << s.n << " k=" << s.k;
   }
 }
 
@@ -144,10 +136,8 @@ TEST(Strassen, SubmatrixViewsLeaveSurroundingsAlone) {
   const index_t ao = 3 * ld + 17, bo = 41 * ld + 5, co = 11 * ld + 99;
   naive_gemm(m, n, k, 1.0, parent_a.data() + ao, ld, parent_b.data() + bo, ld,
              ref_c.data() + co, ld);
-  simd::ScopedGemmOptions g({2, 16});
-  ASSERT_TRUE(simd::strassen_gemm(m, n, k, 1.0, parent_a.data() + ao, ld,
-                                  parent_b.data() + bo, ld,
-                                  parent_c.data() + co, ld));
+  simd::strassen_gemm(m, n, k, 1.0, parent_a.data() + ao, ld,
+                      parent_b.data() + bo, ld, parent_c.data() + co, ld);
   double err = 0;
   index_t outside_diffs = 0;
   for (index_t i = 0; i < ld; ++i) {
@@ -169,66 +159,49 @@ TEST(Strassen, SubmatrixViewsLeaveSurroundingsAlone) {
 TEST(Strassen, DeterministicRunToRun) {
   const index_t m = 97, n = 120, k = 64;
   auto a = random_buf(m * k, 301), b = random_buf(k * n, 302);
-  for (int levels : {1, 2}) {
-    simd::ScopedGemmOptions g({levels, 16});
-    auto c1 = random_buf(m * n, 303);
-    auto c2 = c1;
-    ASSERT_TRUE(simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n,
-                                    c1.data(), n));
-    ASSERT_TRUE(simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n,
-                                    c2.data(), n));
-    EXPECT_TRUE(bitwise_equal(c1, c2)) << "levels=" << levels;
-  }
+  auto c1 = random_buf(m * n, 303);
+  auto c2 = c1;
+  simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n, c1.data(), n);
+  simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n, c2.data(), n);
+  EXPECT_TRUE(bitwise_equal(c1, c2));
 }
 
-// levels=0 (and sub-threshold sizes) must leave the classic path
-// bit-identical to a build without the Strassen layer: strassen_gemm
-// declines and blas::dgemm produces the same bits either way.
-TEST(Strassen, DisabledAndSubThresholdFallBackBitIdentically) {
-  const index_t n = 96;
-  auto a = random_buf(n * n, 401), b = random_buf(n * n, 402);
-  auto c0 = random_buf(n * n, 403);
-  {
-    simd::ScopedGemmOptions g({0, 16});
-    auto c = c0;
-    EXPECT_FALSE(simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
-                                     c.data(), n));
-    EXPECT_TRUE(bitwise_equal(c, c0));  // untouched on decline
-  }
-  std::vector<double> classic;
-  {
-    simd::ScopedGemmOptions g({0, 16});
-    auto c = c0;
-    blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-    classic = c;
-  }
-  {
-    // Enabled but below threshold: same classic bits.
-    simd::ScopedGemmOptions g({2, n + 1});
-    auto c = c0;
-    blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-    EXPECT_TRUE(bitwise_equal(c, classic));
+// Below the crossover blas::dgemm is the classic path bit for bit; from
+// it up, it is strassen_gemm bit for bit.
+TEST(Strassen, SubThresholdFallsBackBitIdentically) {
+  for (index_t n : {index_t{96}, simd::kStrassenMinM - 1,
+                    simd::kStrassenMinM}) {
+    auto a = random_buf(n * n, 401), b = random_buf(n * n, 402);
+    auto c0 = random_buf(n * n, 403);
+    auto expect = c0;
+    if (n < simd::kStrassenMinM) {
+      classic_gemm(n, n, n, 1.0, a.data(), n, b.data(), n, expect.data(), n);
+    } else {
+      simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
+                          expect.data(), n);
+    }
+    auto got = c0;
+    blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, got.data(), n);
+    EXPECT_TRUE(bitwise_equal(got, expect)) << "n=" << n;
   }
 }
 
 // The scalar micro-kernel leg (the $GEP_FORCE_SCALAR CI lane) must run
-// the same fused recursion within tolerance of the dispatched one.
+// the same fused level within tolerance of the dispatched one.
 TEST(Strassen, ScalarFallbackEquivalence) {
   const index_t m = 96, n = 104, k = 80;
   auto a = random_buf(m * k, 501), b = random_buf(k * n, 502);
   auto ref = random_buf(m * n, 503);
   auto scalar_c = ref;
   naive_gemm(m, n, k, 1.0, a.data(), k, b.data(), n, ref.data(), n);
-  simd::ScopedGemmOptions g({2, 16});
   simd::force_level(simd::Level::Scalar);
-  const bool engaged = simd::strassen_gemm(m, n, k, 1.0, a.data(), k,
-                                           b.data(), n, scalar_c.data(), n);
+  simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n, scalar_c.data(),
+                      n);
   simd::clear_forced_level();
-  ASSERT_TRUE(engaged);
   EXPECT_LT(max_abs_diff(ref, scalar_c), 1e-11);
   auto active_c = random_buf(m * n, 503);
-  ASSERT_TRUE(simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n,
-                                  active_c.data(), n));
+  simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n,
+                      active_c.data(), n);
   EXPECT_LT(max_abs_diff(scalar_c, active_c), 1e-11);
 }
 
@@ -249,32 +222,30 @@ TEST(Strassen, ScaledGePathMatchesReference) {
       for (index_t j = 0; j < m; ++j) ref[i * m + j] -= t * v[p * m + j];
     }
   }
-  simd::ScopedGemmOptions g({1, 16});
-  ASSERT_TRUE(simd::strassen_gemm_scaled(got.data(), u.data(), v.data(),
-                                         w.data(), m, m, m, m, m));
+  simd::strassen_gemm_scaled(got.data(), u.data(), v.data(), w.data(), m, m,
+                             m, m, m);
   EXPECT_LT(max_abs_diff(ref, got), 1e-11);
 }
 
-// gemm_tile consults the Strassen layer ahead of the classic leaf path
-// (the typed engine's MM/D-kind route).
+// gemm_tile (the typed engine's MM/D-kind route) runs the Strassen
+// level from the crossover up.
 TEST(Strassen, GemmTileRoutesThroughStrassen) {
-  const index_t m = 64;
+  const index_t m = simd::kStrassenMinM;
   auto u = random_buf(m * m, 701), v = random_buf(m * m, 702);
   auto ref = random_buf(m * m, 703);
+  auto direct = ref;
   auto got = ref;
-  {
-    simd::ScopedGemmOptions g({0, 16});
-    simd::gemm_tile(ref.data(), u.data(), v.data(), m, m, m, m, -1.0);
-  }
+  naive_gemm(m, m, m, -1.0, u.data(), m, v.data(), m, ref.data(), m);
+  simd::strassen_gemm(m, m, m, -1.0, u.data(), m, v.data(), m, direct.data(),
+                      m);
   const std::uint64_t calls_before =
       obs::counter("kernels.strassen.calls").value();
-  {
-    simd::ScopedGemmOptions g({1, 16});
-    simd::gemm_tile(got.data(), u.data(), v.data(), m, m, m, m, -1.0);
-  }
+  simd::gemm_tile(got.data(), u.data(), v.data(), m, m, m, m, -1.0);
   if (obs::kEnabled) {
-    EXPECT_GT(obs::counter("kernels.strassen.calls").value(), calls_before);
+    EXPECT_EQ(obs::counter("kernels.strassen.calls").value(),
+              calls_before + 1);
   }
+  EXPECT_TRUE(bitwise_equal(direct, got));
   EXPECT_LT(max_abs_diff(ref, got), 1e-11);
 }
 
@@ -283,20 +254,22 @@ TEST(Strassen, FallbackCounterTracksDeclines) {
   const index_t n = 32;
   auto a = random_buf(n * n, 801), b = random_buf(n * n, 802),
        c = random_buf(n * n, 803);
+  const std::uint64_t calls =
+      obs::counter("kernels.strassen.calls").value();
   const std::uint64_t before =
       obs::counter("kernels.strassen.fallbacks").value();
-  simd::ScopedGemmOptions g({2, n + 1});  // configured on, below threshold
-  EXPECT_FALSE(simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
-                                   c.data(), n));
-  EXPECT_GT(obs::counter("kernels.strassen.fallbacks").value(), before);
+  blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
+  EXPECT_EQ(obs::counter("kernels.strassen.fallbacks").value(), before + 1);
+  EXPECT_EQ(obs::counter("kernels.strassen.calls").value(), calls);
 }
 
-// End-to-end gates: typed I-GEP with Strassen-eligible D-kind leaves
-// must still pass the randomized product / residual certificates. The
-// base size is chosen so leaves clear the (floored) threshold and the
-// engagement counter proves the fast path actually ran.
+// End-to-end gates: typed I-GEP with Strassen D-kind leaves must still
+// pass the randomized product / residual certificates. A base size of
+// 512 clears kStrassenMinM, and the engagement counter proves the fast
+// path actually ran.
 TEST(Strassen, TypedMatmulWithStrassenLeavesPassesFreivalds) {
-  const index_t n = 512, base = 256;
+  const index_t n = 1024, base = 512;
+  static_assert(512 >= simd::kStrassenMinM);
   Matrix<double> a(n, n), b(n, n);
   SplitMix64 g(901);
   for (index_t i = 0; i < n; ++i) {
@@ -306,32 +279,29 @@ TEST(Strassen, TypedMatmulWithStrassenLeavesPassesFreivalds) {
     }
   }
   Matrix<double> before(n, n, 0.25), c = before;
-  apps::RunOptions opts;
-  opts.base_size = base;
-  opts.gemm = {1, 128};
   const std::uint64_t calls_before =
       obs::counter("kernels.strassen.calls").value();
-  apps::multiply_add(c, a, b, apps::Engine::IGep, opts);
-  if (obs::kEnabled && detail::leaf_use_avx2()) {
+  apps::multiply_add(c, a, b, apps::Engine::IGep, {base, 1});
+  if (obs::kEnabled && simd::active() == simd::Level::Avx2) {
     EXPECT_GT(obs::counter("kernels.strassen.calls").value(), calls_before);
   }
   EXPECT_TRUE(apps::freivalds_check(c, before, a, b));
 }
 
 TEST(Strassen, TypedLuWithStrassenLeavesPassesResidual) {
-  const index_t n = 512, base = 256;
+  const index_t n = 1024, base = 512;
   const Matrix<double> a = dd_matrix(n, 902);
   Matrix<double> lu = a;
-  apps::RunOptions opts;
-  opts.base_size = base;
-  opts.gemm = {1, 128};
-  apps::lu_decompose(lu, apps::Engine::IGep, opts);
+  const std::uint64_t calls_before =
+      obs::counter("kernels.strassen.calls").value();
+  apps::lu_decompose(lu, apps::Engine::IGep, {base, 1});
+  if (obs::kEnabled && simd::active() == simd::Level::Avx2) {
+    EXPECT_GT(obs::counter("kernels.strassen.calls").value(), calls_before);
+  }
   EXPECT_LT(lu_residual_sample(a, lu, 16), 1e-9);
-  // And against the classic-leaf factorization, elementwise.
+  // And against the classic-leaf factorization (base 64), elementwise.
   Matrix<double> lu_classic = a;
-  apps::RunOptions off = opts;
-  off.gemm = {0, -1};
-  apps::lu_decompose(lu_classic, apps::Engine::IGep, off);
+  apps::lu_decompose(lu_classic, apps::Engine::IGep, {64, 1});
   double err = 0;
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j < n; ++j) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -273,15 +274,24 @@ TEST(Tracer, SpanSharesRingTimestampsAndTid) {
   obs::Tracer::clear();
   obs::flight::clear();
   obs::Tracer::start();
-  std::thread([] {
+  // The traced thread stays alive until the untraced one is done, so the
+  // two record into rings of their own (an exited thread's ring is
+  // reused by the next thread).
+  std::promise<void> traced_done, untraced_done;
+  std::thread traced_thread([&] {
     obs::flight::set_thread_name("span-traced");
-    obs::ScopedSpan s('B', 3, 0, 64, 0, 32);
-  }).join();
+    { obs::ScopedSpan s('B', 3, 0, 64, 0, 32); }
+    traced_done.set_value();
+    untraced_done.get_future().wait();
+  });
+  traced_done.get_future().wait();
   obs::Tracer::stop();
   std::thread([] {
     obs::flight::set_thread_name("span-untraced");
     obs::ScopedSpan s('C', 2, 64, 0, 0, 16);
   }).join();
+  untraced_done.set_value();
+  traced_thread.join();
   const std::vector<obs::ThreadTrace> snap = obs::Tracer::snapshot();
   const std::uint64_t base = obs::Tracer::base_ns();
   const char* path = "telemetry_span.gepdump";
