@@ -1,7 +1,7 @@
 // Kernel microbenchmarks: the dispatched base-case kernels and the
-// BLAS-baseline GEMM, measured on BOTH dispatch paths (forced scalar
-// vs AVX2) in one process. These building blocks set the "% of peak"
-// ceilings in Figs. 10 and 11.
+// BLAS-baseline GEMM, measured on EVERY dispatch path the host runs
+// (forced scalar, AVX2, AVX-512) in one process. These building blocks
+// set the "% of peak" ceilings in Figs. 10 and 11.
 //
 // Run with no arguments it emits BENCH_kernels.json: per kernel x size
 // x path throughput (GF/s, plus Gupdates/s for the semiring kernels),
@@ -154,12 +154,30 @@ double time_per_call(Fn&& fn) {
 
 const char* path_name(gep::simd::Level l) { return gep::simd::level_name(l); }
 
-// Which dispatch paths this process can actually measure.
+// Which dispatch paths this process can actually measure, lowest first.
 std::vector<gep::simd::Level> measurable_paths() {
-  std::vector<gep::simd::Level> p{gep::simd::Level::Scalar};
-  if (gep::simd::avx2_available() && !gep::simd::forced_scalar_env())
-    p.push_back(gep::simd::Level::Avx2);
+  using gep::simd::Level;
+  std::vector<Level> p{Level::Scalar};
+  if (gep::simd::forced_scalar_env()) return p;
+  for (Level l : {Level::Avx2, Level::Avx512}) {
+    if (gep::simd::level_available(l)) p.push_back(l);
+  }
   return p;
+}
+
+// Annotates a packed-level row with its speedups over the scalar row and,
+// for avx512, over the avx2 row (times of the rows measured so far, by
+// level).
+void annotate_speedups(gep::bench::BenchReport& report,
+                       gep::simd::Level level, const double (&dt)[3]) {
+  using gep::simd::Level;
+  const double here = dt[static_cast<int>(level)];
+  if (level == Level::Scalar || here <= 0) return;
+  if (dt[0] > 0) report.annotate("speedup_vs_scalar", dt[0] / here);
+  const double avx2 = dt[static_cast<int>(Level::Avx2)];
+  if (level == Level::Avx512 && avx2 > 0) {
+    report.annotate("speedup_vs_avx2", avx2 / here);
+  }
 }
 
 struct KernelCase {
@@ -182,45 +200,63 @@ void add_run(gep::bench::BenchReport& report, double peak,
   std::printf("  %-28s %10.3e s  %7.2f GF/s\n", label.c_str(), dt, flops / dt / 1e9);
 }
 
-// Benchmarks one case on every measurable path, annotating the AVX2 run
-// with its speedup over the scalar run.
-void bench_case(gep::bench::BenchReport& report, double peak,
-                const KernelCase& c, index_t n) {
-  double scalar_dt = 0;
-  for (gep::simd::Level level : measurable_paths()) {
-    gep::simd::force_level(level);
-    const double dt = time_per_call(c.run);
-    add_run(report, peak, c.name + " " + path_name(level), n, c.flops, dt);
-    if (c.updates > 0)
-      report.annotate("gupdates_per_s", c.updates / dt / 1e9);
-    if (level == gep::simd::Level::Scalar) {
-      scalar_dt = dt;
-    } else if (scalar_dt > 0) {
-      report.annotate("speedup_vs_scalar", scalar_dt / dt);
-    }
-  }
-  gep::simd::clear_forced_level();
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
-// Paired timing: alternates the two runners `rounds` times and keeps
-// each side's best per-call time — back-to-back alternation cancels the
-// slow frequency/noisy-neighbor drift of the 1-core VM, which a
-// sequential A-then-B measurement would fold into the ratio.
-template <class FnA, class FnB>
-std::pair<double, double> paired_time(FnA&& a, FnB&& b, int rounds = 2) {
-  double ta = 1e300, tb = 1e300;
+// Paired timing: runs the runners in alternation `rounds` times and
+// keeps each one's median per-call time — back-to-back alternation
+// cancels the slow frequency/noisy-neighbor drift of a shared VM, which
+// a sequential A-then-B measurement would fold into the ratio, and the
+// median keeps one noisy round from deciding the result.
+std::vector<double> paired_times(
+    const std::vector<std::function<void()>>& fns, int rounds = 5) {
+  std::vector<std::vector<double>> t(fns.size());
   for (int r = 0; r < rounds; ++r) {
-    ta = std::min(ta, time_per_call(a));
-    tb = std::min(tb, time_per_call(b));
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      t[i].push_back(time_per_call(fns[i]));
+    }
   }
-  return {ta, tb};
+  std::vector<double> out;
+  for (auto& ti : t) out.push_back(median(ti));
+  return out;
+}
+
+// Benchmarks one case on every measurable path (paired alternating
+// timings, median of 3 rounds), annotating each packed run with its
+// speedups (annotate_speedups).
+void bench_case(gep::bench::BenchReport& report, double peak,
+                const KernelCase& c, index_t n) {
+  const std::vector<gep::simd::Level> levels = measurable_paths();
+  std::vector<std::function<void()>> runs;
+  for (gep::simd::Level level : levels) {
+    runs.push_back([&c, level] {
+      gep::simd::force_level(level);
+      c.run();
+    });
+  }
+  const std::vector<double> t = paired_times(runs, 3);
+  gep::simd::clear_forced_level();
+  double dt_at[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const double dt = t[i];
+    dt_at[static_cast<int>(levels[i])] = dt;
+    add_run(report, peak, c.name + " " + path_name(levels[i]), n, c.flops,
+            dt);
+    if (c.updates > 0)
+      report.annotate("gupdates_per_s", c.updates / dt / 1e9);
+    annotate_speedups(report, levels[i], dt_at);
+  }
 }
 
 // --tune-strassen: measures the Strassen/classic break-even edge on
 // this host and emits BENCH_strassen_tune.json with breakeven_m (0 =
 // never pays), the value simd::kStrassenMinM should hold. Runs the two
 // paths by direct calls — blas::dgemm_blocked (classic) against
-// simd::strassen_gemm (one level) — on the active dispatch path.
+// simd::strassen_gemm (one level) — on the active dispatch path, each
+// size as the median of kTuneRounds paired alternations.
 int tune_strassen() {
   using namespace gep;
   double peak = bench::print_host_banner(
@@ -232,22 +268,26 @@ int tune_strassen() {
 
   // Break-even = smallest swept edge from which one level keeps winning
   // (a dip resets it, so a noisy small-size fluke cannot set it).
+  constexpr int kTuneRounds = 7;
   const std::vector<index_t> sweep =
       small ? std::vector<index_t>{128, 256, 384, 512}
-            : std::vector<index_t>{128, 192, 256, 320, 384, 512, 768, 1024};
+            : std::vector<index_t>{256, 384, 512, 640, 768, 896, 1024, 1536,
+                                   2048};
   index_t breakeven = 0;
   for (index_t n : sweep) {
     auto a = random_buf(n * n, 71), b = random_buf(n * n, 72),
          c = random_buf(n * n, 73);
-    auto [tc, ts] = paired_time(
-        [&] {
-          blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
-                              c.data(), n, blas::GemmBlocking{});
-        },
-        [&] {
-          simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
-                              c.data(), n);
-        });
+    const std::vector<double> t = paired_times(
+        {[&] {
+           blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
+                               c.data(), n, blas::GemmBlocking{});
+         },
+         [&] {
+           simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
+                               c.data(), n);
+         }},
+        kTuneRounds);
+    const double tc = t[0], ts = t[1];
     const double flops = 2.0 * n * n * n;
     add_run(report, peak, "tune dgemm_classic n=" + std::to_string(n), n,
             flops, tc);
@@ -320,8 +360,8 @@ int main(int argc, char** argv) {
                 }},
                m);
     // Semiring rows through the dispatch wrappers on disjoint (D-kind)
-    // contiguous tiles: at Avx2 they take the packed semiring
-    // micro-kernel, at Scalar the scalar template.
+    // contiguous tiles: at a packed level they take the packed
+    // semiring micro-kernel, at Scalar the scalar template.
     bench_case(report, peak,
                {"kernel_fw m=" + std::to_string(m), mmf, upd,
                 [&, m] {
@@ -344,26 +384,30 @@ int main(int argc, char** argv) {
       auto tile = pristine;
       const std::size_t bytes = tile.size() * sizeof(double);
       auto restore = [&] { std::memcpy(tile.data(), pristine.data(), bytes); };
-      double scalar_dt = 0;
-      for (simd::Level level : measurable_paths()) {
-        simd::force_level(level);
-        const double dt_both = time_per_call([&] {
+      // Paired like bench_case: the restore alone, then restore + leaf
+      // at each level.
+      const std::vector<simd::Level> levels = measurable_paths();
+      std::vector<std::function<void()>> runs{restore};
+      for (simd::Level level : levels) {
+        runs.push_back([&, level] {
+          simd::force_level(level);
           restore();
           kernel_lu(tile.data(), tile.data(), tile.data(), tile.data(), m, m,
                     m, m, m, true, true);
         });
-        const double dt_restore = time_per_call(restore);
-        const double dt = std::max(dt_both - dt_restore, 1e-12);
-        add_run(report, peak,
-                "kernel_lu_A m=" + std::to_string(m) + " " + path_name(level),
-                m, bench::flops_lu(m), dt);
-        if (level == simd::Level::Scalar) {
-          scalar_dt = dt;
-        } else if (scalar_dt > 0) {
-          report.annotate("speedup_vs_scalar", scalar_dt / dt);
-        }
       }
+      const std::vector<double> t = paired_times(runs, 3);
       simd::clear_forced_level();
+      double dt_at[3] = {0, 0, 0};
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        const double dt = std::max(t[i + 1] - t[0], 1e-12);
+        dt_at[static_cast<int>(levels[i])] = dt;
+        add_run(report, peak,
+                "kernel_lu_A m=" + std::to_string(m) + " " +
+                    path_name(levels[i]),
+                m, bench::flops_lu(m), dt);
+        annotate_speedups(report, levels[i], dt_at);
+      }
     }
 
     // Transitive closure on bytes (bit-exact OR kernel), through its
@@ -388,37 +432,18 @@ int main(int argc, char** argv) {
   // with leading dimension 2048, as the typed engine hands them over at
   // n = 2048 (x = c[I x J], u = c[I x K], v = c[K x J]). Rows 16 KiB
   // apart share few L1 sets, which the contiguous rows above hide.
-  // Paired alternating timings of the two paths on the same tiles.
   {
     const index_t m = 64, ld = 2048;
     auto c = random_buf(2 * m * ld, 7);
     double* x = c.data();
     const double* u = c.data() + m;
     const double* v = c.data() + m * ld;
-    const std::string label =
-        "kernel_fw_D m=" + std::to_string(m) + " ld=" + std::to_string(ld);
-    auto at = [&](simd::Level level) {
-      return [&, level] {
-        simd::force_level(level);
-        kernel_fw(x, u, v, m, ld, ld, ld);
-      };
-    };
     const double upd = static_cast<double>(m) * m * m;
-    const std::vector<simd::Level> paths = measurable_paths();
-    if (paths.size() == 2) {
-      auto [ts, tv] = paired_time(at(simd::Level::Scalar),
-                                  at(simd::Level::Avx2));
-      add_run(report, peak, label + " scalar", m, 2 * upd, ts);
-      report.annotate("gupdates_per_s", upd / ts / 1e9);
-      add_run(report, peak, label + " avx2", m, 2 * upd, tv);
-      report.annotate("gupdates_per_s", upd / tv / 1e9);
-      report.annotate("speedup_vs_scalar", ts / tv);
-    } else {
-      const double ts = time_per_call(at(simd::Level::Scalar));
-      add_run(report, peak, label + " scalar", m, 2 * upd, ts);
-      report.annotate("gupdates_per_s", upd / ts / 1e9);
-    }
-    simd::clear_forced_level();
+    bench_case(report, peak,
+               {"kernel_fw_D m=" + std::to_string(m) +
+                    " ld=" + std::to_string(ld),
+                2 * upd, upd, [&] { kernel_fw(x, u, v, m, ld, ld, ld); }},
+               m);
   }
 
   // Cache-aware blocked GEMM through the shared micro-kernel layer.
@@ -440,22 +465,25 @@ int main(int argc, char** argv) {
   // nominal 2n^3 flop count (one level executes 7/8 of them, so beating
   // classic GF/s here means real end-to-end speedup).
   {
+    // The small sweep ends well above kStrassenMinM, where CI checks
+    // that one level beats the classic path.
     const std::vector<index_t> ns = small
-                                        ? std::vector<index_t>{384, 512}
+                                        ? std::vector<index_t>{1024, 2048}
                                         : std::vector<index_t>{512, 1024, 2048};
     for (index_t n : ns) {
       auto a = random_buf(n * n, 61), b = random_buf(n * n, 62),
            c = random_buf(n * n, 63);
       const double flops = 2.0 * n * n * n;
-      auto [tc, ts] = paired_time(
-          [&] {
-            blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
-                                c.data(), n, blas::GemmBlocking{});
-          },
-          [&] {
-            simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
-                                c.data(), n);
-          });
+      const std::vector<double> t = paired_times(
+          {[&] {
+             blas::dgemm_blocked(n, n, n, 1.0, a.data(), n, b.data(), n,
+                                 c.data(), n, blas::GemmBlocking{});
+           },
+           [&] {
+             simd::strassen_gemm(n, n, n, 1.0, a.data(), n, b.data(), n,
+                                 c.data(), n);
+           }});
+      const double tc = t[0], ts = t[1];
       add_run(report, peak, "dgemm_classic n=" + std::to_string(n), n, flops,
               tc);
       add_run(report, peak, "dgemm_strassen L1 n=" + std::to_string(n), n,
@@ -464,12 +492,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // End-to-end: typed I-GEP LU, both paths, one shot each.
+  // End-to-end: typed I-GEP LU, every path, one shot each.
   {
     const index_t n = small ? 512 : 2048;
     const index_t base = 64;
     Matrix<double> init = bench::random_dd_matrix(n, 50);
-    double scalar_dt = 0;
+    double dt_at[3] = {0, 0, 0};
     for (simd::Level level : measurable_paths()) {
       simd::force_level(level);
       Matrix<double> m = init;
@@ -481,11 +509,8 @@ int main(int argc, char** argv) {
       std::printf("  igep_lu_typed n=%lld %s: %.3f s  %.2f GF/s\n",
                   static_cast<long long>(n), path_name(level), dt,
                   bench::flops_lu(n) / dt / 1e9);
-      if (level == simd::Level::Scalar) {
-        scalar_dt = dt;
-      } else if (scalar_dt > 0) {
-        report.annotate("speedup_vs_scalar", scalar_dt / dt);
-      }
+      dt_at[static_cast<int>(level)] = dt;
+      annotate_speedups(report, level, dt_at);
       volatile double sink = m(n - 1, n - 1);
       (void)sink;
     }

@@ -36,26 +36,39 @@ struct SolverTelemetry {
   }
 };
 
+// sum_k a[k] * b[k] over eight independent partial sums: the one-chain
+// form is bound by the FP-add latency and cannot be vectorized without
+// reassociation, this one streams both rows at memory speed. Fixed
+// association, so results are deterministic.
+double dot(const double* a, const double* b, index_t n) {
+  constexpr index_t W = 8;
+  double part[W] = {};
+  index_t k = 0;
+  for (; k + W <= n; k += W) {
+    for (index_t l = 0; l < W; ++l) part[l] += a[k + l] * b[k + l];
+  }
+  double tail = 0;
+  for (; k < n; ++k) tail += a[k] * b[k];
+  return ((part[0] + part[1]) + (part[2] + part[3])) +
+         ((part[4] + part[5]) + (part[6] + part[7])) + tail;
+}
+
 }  // namespace
 
 void forward_substitute(const Matrix<double>& lu, std::vector<double>& x) {
   const index_t n = lu.rows();
   for (index_t i = 0; i < n; ++i) {
-    double acc = x[static_cast<std::size_t>(i)];
-    for (index_t k = 0; k < i; ++k) {
-      acc -= lu(i, k) * x[static_cast<std::size_t>(k)];
-    }
-    x[static_cast<std::size_t>(i)] = acc;  // L has unit diagonal
+    // L has unit diagonal.
+    x[static_cast<std::size_t>(i)] -= dot(lu.data() + i * n, x.data(), i);
   }
 }
 
 void backward_substitute(const Matrix<double>& lu, std::vector<double>& x) {
   const index_t n = lu.rows();
   for (index_t i = n - 1; i >= 0; --i) {
-    double acc = x[static_cast<std::size_t>(i)];
-    for (index_t k = i + 1; k < n; ++k) {
-      acc -= lu(i, k) * x[static_cast<std::size_t>(k)];
-    }
+    const double acc =
+        x[static_cast<std::size_t>(i)] -
+        dot(lu.data() + i * n + i + 1, x.data() + i + 1, n - 1 - i);
     x[static_cast<std::size_t>(i)] = acc / lu(i, i);
   }
 }

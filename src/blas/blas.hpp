@@ -11,6 +11,7 @@
 #pragma once
 
 #include "matrix/matrix.hpp"
+#include "simd/gemm_leaf.hpp"
 
 namespace gep::blas {
 
@@ -27,12 +28,9 @@ void lu_nopivot(index_t n, double* a, index_t lda);
 // al. / Park-Penner-Prasanna): in-place on the n x n distance matrix.
 void fw_tiled(index_t n, double* d, index_t ld, index_t tile = 64);
 
-// Blocking parameters (exposed for the ablation bench).
-struct GemmBlocking {
-  index_t mc = 128;  // rows of packed A block   (fits L2 with kc)
-  index_t kc = 256;  // depth of packed panels   (fits L1-ish per stripe)
-  index_t nc = 1024; // columns of packed B panel
-};
+// Blocking parameters (exposed for the ablation bench): the packed
+// macro loop's, defaulting to the classic baseline's blocking.
+using GemmBlocking = simd::PackedBlocking;
 void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
                    const double* a, index_t lda, const double* b, index_t ldb,
                    double* c, index_t ldc, const GemmBlocking& blocking);

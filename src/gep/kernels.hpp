@@ -3,8 +3,8 @@
 // The portable reference kernels live in gep::scalar (below, the
 // original iterative base cases). The gep::kernel_* entry points every
 // engine calls are thin wrappers around one rule (detail::packed_leaf):
-// a D-kind double/float leaf — x disjoint from its inputs — at
-// Level::Avx2 runs a packed BLIS-style micro-kernel of
+// a D-kind double/float leaf — x disjoint from its inputs — at a packed
+// level (Avx2 or Avx512) runs a packed BLIS-style micro-kernel of
 // simd/gemm_leaf.hpp: FW/bottleneck leaves of every size the semiring
 // micro-kernel, GE/LU/MM leaves of at least simd::kGemmMinM rows the
 // FMA GEMM (one Strassen level from simd::kStrassenMinM up). Every other
@@ -245,13 +245,13 @@ bool tiles_overlap(const T* a, index_t sa, const T* b, index_t sb,
 }
 
 // The one SIMD rule for leaves: a double/float leaf whose x tile is
-// disjoint from u and v (`d_kind`, decided by the caller) at
-// Level::Avx2 runs packed(x) — a packed micro-kernel — ticks
-// kernels.dispatch.avx2 and returns true. Every other leaf ticks
-// kernels.dispatch.scalar and returns false, and the caller runs its
-// scalar template. `packed` is a generic lambda, so its body is only
-// instantiated for the element types that reach it. Tiles are either
-// identical or disjoint, which the assertion checks.
+// disjoint from u and v (`d_kind`, decided by the caller) at a packed
+// level (Avx2 or Avx512) runs packed(x) — a packed micro-kernel — ticks
+// that level's kernels.dispatch counter and returns true. Every other
+// leaf ticks kernels.dispatch.scalar and returns false, and the caller
+// runs its scalar template. `packed` is a generic lambda, so its body
+// is only instantiated for the element types that reach it. Tiles are
+// either identical or disjoint, which the assertion checks.
 template <class T, class Packed>
 bool packed_leaf([[maybe_unused]] bool d_kind, [[maybe_unused]] T* x,
                  [[maybe_unused]] const T* u, [[maybe_unused]] const T* v,
@@ -259,10 +259,11 @@ bool packed_leaf([[maybe_unused]] bool d_kind, [[maybe_unused]] T* x,
                  [[maybe_unused]] index_t su, [[maybe_unused]] index_t sv,
                  [[maybe_unused]] Packed&& packed) {
   if constexpr (GEP_SIMD_X86 && simd_vec_type<T>) {
-    if (d_kind && simd::active() == simd::Level::Avx2) {
+    const simd::Level level = simd::active();
+    if (d_kind && level != simd::Level::Scalar) {
       assert(!tiles_overlap(x, sx, u, su, m) &&
              !tiles_overlap(x, sx, v, sv, m));
-      simd::note_leaf(simd::Level::Avx2);
+      simd::note_leaf(level);
       packed(x);
       return true;
     }

@@ -26,10 +26,10 @@
 // base-size tiles dispatched to the kernels in kernels.hpp. The BoxKind
 // matters for more than ordering: the di/dj flags each leaf derives from
 // it tell the kernel wrappers when a tile is fully disjoint (D-kind,
-// di == dj == false), the one kind that runs a packed AVX2 micro-kernel
+// di == dj == false), the one kind that runs a packed micro-kernel
 // when the host supports it (simd/gemm_leaf.hpp); every other box runs
 // its scalar template. GE/LU/MM D-kind leaves whose edge reaches
-// simd::kStrassenMinM (384 — i.e. a base size that large) run one fused
+// simd::kStrassenMinM (896 — i.e. a base size that large) run one fused
 // Strassen level (simd/strassen.hpp) with no changes here.
 #pragma once
 

@@ -5,7 +5,7 @@
 #include <cstddef>
 
 #include "simd/dispatch.hpp"
-#include "simd/kernels_avx2.hpp"
+#include "simd/kernels_x86.hpp"
 #include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
 #include "util/aligned.hpp"
@@ -13,43 +13,76 @@
 namespace gep::simd {
 namespace {
 
-// k-chunk for panel packing. Leaf tiles are almost always <= this, so B
-// packs exactly once per leaf call and is reused across all A panels.
-// (The thread-local packing panels live in microkernel.hpp's
-// packing_buffer, shared with the Strassen layer.)
-constexpr index_t kGemmKc = kMaxPanelK;
-static_assert(kGemmKc <= kMaxPanelK,
-              "pack_a_scaled's reciprocal buffer is sized for kMaxPanelK");
+// k-chunk of the leaf macro loop. Leaf tiles are almost always <= this,
+// so B packs exactly once per leaf call and is reused across all A
+// panels (mc = nc = m: one A block, one B panel per chunk).
+constexpr index_t kLeafKc = 256;
 
-// Shared macro-loop over one m x m leaf: per k-chunk, packs B once and
-// A through pack_a_chunk(pc, kcb, dst), then sweeps every micro-tile of
-// x with ukr(kcb, pa, pb, c, mr, nr) (mr x nr < MR x NR on the fringes).
-template <class T, class PackA, class Ukr>
-void macro_loop(T* x, const T* v, index_t m, index_t sx, index_t sv,
-                PackA&& pack_a_chunk, Ukr&& ukr) {
+PackedBlocking leaf_blocking(index_t m) { return {m, kLeafKc, m}; }
+
+// The one micro-kernel selection point: the table of the active level.
+template <class T>
+const MicroKernels<T>& micro_kernels() {
+#if GEP_SIMD_X86
+  const Level l = active();
+  if (l != Level::Scalar) return x86_micro_kernels<T>(l);
+#endif
+  static constexpr MicroKernels<T> scalar{&ukr_scalar<T>, nullptr};
+  return scalar;
+}
+
+// The macro loop over packed panels: per nc-wide column block and
+// kc-deep chunk, packs B once; per mc-tall row block, packs A; then
+// calls tile(kcb, pa, pb, i, j, mr, nr) for every micro-tile, whose
+// top-left element is (i, j) (mr x nr < MR x NR on the fringes).
+template <class T, class Tile>
+void macro_loop(index_t m, index_t n, index_t k, const PackSrc<T>* as, int na,
+                index_t lda, const PackSrc<T>* bs, int nb, index_t ldb,
+                const PackedBlocking& bl, Tile&& tile) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
   constexpr index_t MR = kMicroRows;
   constexpr index_t NR = micro_cols<T>();
-  const index_t kc = std::min(m, kGemmKc);
-  T* pa = packing_buffer<T>(0, static_cast<std::size_t>(packed_a_size<T>(m, kc)));
-  T* pb = packing_buffer<T>(1, static_cast<std::size_t>(packed_b_size<T>(kc, m)));
-  for (index_t pc = 0; pc < m; pc += kc) {
-    const index_t kcb = std::min(kc, m - pc);
-    pack_b(v + pc * sv, sv, kcb, m, pb);
-    pack_a_chunk(pc, kcb, pa);
-    for (index_t jr = 0; jr < m; jr += NR) {
-      const index_t nr = std::min(NR, m - jr);
-      const T* pbj = pb + (jr / NR) * kcb * NR;
-      for (index_t ir = 0; ir < m; ir += MR) {
-        ukr(kcb, pa + (ir / MR) * kcb * MR, pbj, x + ir * sx + jr,
-            std::min(MR, m - ir), nr);
+  const index_t mc = std::min(m, bl.mc);
+  const index_t kc = std::min(k, bl.kc);
+  const index_t nc = std::min(n, bl.nc);
+  T* pa = packing_buffer<T>(
+      0, static_cast<std::size_t>(packed_a_size<T>(mc, kc)));
+  T* pb = packing_buffer<T>(
+      1, static_cast<std::size_t>(packed_b_size<T>(kc, nc)));
+
+  PackSrc<T> ab[kMaxGemmOperands];
+  PackSrc<T> bb[kMaxGemmOperands];
+  for (index_t jc = 0; jc < n; jc += nc) {
+    const index_t ncb = std::min(nc, n - jc);
+    for (index_t pc = 0; pc < k; pc += kc) {
+      const index_t kcb = std::min(kc, k - pc);
+      for (int q = 0; q < nb; ++q) {
+        bb[q] = {bs[q].p + pc * ldb + jc, bs[q].coeff, nullptr};
+      }
+      pack_b(bb, nb, ldb, kcb, ncb, pb);
+      for (index_t ic = 0; ic < m; ic += mc) {
+        const index_t mcb = std::min(mc, m - ic);
+        for (int q = 0; q < na; ++q) {
+          ab[q] = {as[q].p + ic * lda + pc, as[q].coeff,
+                   as[q].inv == nullptr ? nullptr : as[q].inv + pc};
+        }
+        pack_a(ab, na, lda, mcb, kcb, pa);
+        for (index_t jr = 0; jr < ncb; jr += NR) {
+          const index_t nr = std::min(NR, ncb - jr);
+          const T* pbj = pb + (jr / NR) * kcb * NR;
+          for (index_t ir = 0; ir < mcb; ir += MR) {
+            tile(kcb, pa + (ir / MR) * kcb * MR, pbj, ic + ir, jc + jr,
+                 std::min(MR, mcb - ir), nr);
+          }
+        }
       }
     }
   }
 }
 
-// x += alpha * packed(u') * v, where u' is either u or u scaled by
-// 1/diag(w) (Scaled = GE multiplier fold): one Strassen level from the
-// crossover (strassen_engages) up, the classic packed path below it.
+// x += alpha * u' * v, where u' is either u or u scaled by 1/diag(w)
+// (Scaled = GE multiplier fold): one Strassen level from the crossover
+// (strassen_engages) up, the classic packed path below it.
 template <class T, bool Scaled>
 void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
@@ -61,50 +94,70 @@ void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
     }
     return;
   }
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-#if GEP_SIMD_X86
-  const bool use_avx2 = active() == Level::Avx2;
-#endif
-  auto pack = [&](index_t pc, index_t kcb, T* pa) {
-    if constexpr (Scaled) {
-      pack_a_scaled(u + pc, su, m, kcb, w + pc * sw + pc, sw, pa);
-    } else {
-      pack_a(u + pc, su, m, kcb, pa);
-    }
-  };
-  macro_loop(x, v, m, sx, sv, pack,
-             [&](index_t kcb, const T* pai, const T* pbj, T* cij, index_t mr,
-                 index_t nr) {
-               const bool full = mr == MR && nr == NR;
-#if GEP_SIMD_X86
-               if (use_avx2) {
-                 full ? ukr_avx2(kcb, alpha, pai, pbj, cij, sx)
-                      : ukr_avx2_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
-                 return;
-               }
-#endif
-               full ? ukr_scalar(kcb, alpha, pai, pbj, cij, sx)
-                    : ukr_scalar_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
-             });
+  const PackSrc<T> a{u, T{1}, Scaled ? reciprocals(w, sw, m) : nullptr};
+  const PackSrc<T> b{v, T{1}, nullptr};
+  const GemmDest<T> c{x, T{1}};
+  gemm_packed(m, m, m, alpha, &a, 1, su, &b, 1, sv, &c, 1, sx,
+              leaf_blocking(m));
 }
 
-#if GEP_SIMD_X86
 template <class T>
 void semiring_impl(Semiring sr, T* x, const T* u, const T* v, index_t m,
                    index_t sx, index_t su, index_t sv) {
-  macro_loop(x, v, m, sx, sv,
-             [&](index_t pc, index_t kcb, T* pa) {
-               pack_a(u + pc, su, m, kcb, pa);
-             },
-             [&](index_t kcb, const T* pai, const T* pbj, T* cij, index_t mr,
-                 index_t nr) {
-               ukr_semiring_avx2(sr, kcb, pai, pbj, cij, sx, mr, nr);
+  const auto semiring = micro_kernels<T>().semiring;
+  assert(semiring != nullptr);
+  const PackSrc<T> a{u, T{1}, nullptr};
+  const PackSrc<T> b{v, T{1}, nullptr};
+  macro_loop(m, m, m, &a, 1, su, &b, 1, sv, leaf_blocking(m),
+             [&](index_t kcb, const T* pa, const T* pb, index_t i, index_t j,
+                 index_t mr, index_t nr) {
+               semiring(sr, kcb, pa, pb, x + i * sx + j, sx, mr, nr);
              });
 }
-#endif
 
 }  // namespace
+
+template <class T>
+void gemm_packed(index_t m, index_t n, index_t k, T alpha,
+                 const PackSrc<T>* as, int na, index_t lda,
+                 const PackSrc<T>* bs, int nb, index_t ldb,
+                 const GemmDest<T>* cs, int nd, index_t ldc,
+                 const PackedBlocking& bl) {
+  const auto gemm = micro_kernels<T>().gemm;
+  GemmDest<T> db[kMaxGemmOperands];
+  macro_loop(m, n, k, as, na, lda, bs, nb, ldb, bl,
+             [&](index_t kcb, const T* pa, const T* pb, index_t i, index_t j,
+                 index_t mr, index_t nr) {
+               for (int q = 0; q < nd; ++q) {
+                 db[q] = {cs[q].c + i * ldc + j, cs[q].coeff};
+               }
+               gemm(kcb, alpha, pa, pb, db, nd, ldc, mr, nr);
+             });
+}
+
+template <class T>
+const T* reciprocals(const T* w, index_t sw, index_t k) {
+  thread_local AlignedPtr<T> buf;
+  thread_local std::size_t cap = 0;
+  const auto count = static_cast<std::size_t>(k);
+  if (cap < count) {
+    buf = make_aligned<T>(count);
+    cap = count;
+  }
+  for (index_t p = 0; p < k; ++p) buf[p] = T{1} / w[p * sw + p];
+  return buf.get();
+}
+
+#define GEP_GEMM_PACKED_INSTANTIATE(T)                                    \
+  template void gemm_packed(index_t, index_t, index_t, T,                 \
+                            const PackSrc<T>*, int, index_t,              \
+                            const PackSrc<T>*, int, index_t,              \
+                            const GemmDest<T>*, int, index_t,             \
+                            const PackedBlocking&);                       \
+  template const T* reciprocals(const T*, index_t, index_t);
+GEP_GEMM_PACKED_INSTANTIATE(double)
+GEP_GEMM_PACKED_INSTANTIATE(float)
+#undef GEP_GEMM_PACKED_INSTANTIATE
 
 void gemm_tile(double* x, const double* u, const double* v, index_t m,
                index_t sx, index_t su, index_t sv, double alpha) {
@@ -126,7 +179,6 @@ void gemm_tile_scaled(float* x, const float* u, const float* v,
   gemm_impl<float, true>(x, u, v, w, m, sx, su, sv, sw, -1.0f);
 }
 
-#if GEP_SIMD_X86
 void semiring_tile(Semiring sr, double* x, const double* u, const double* v,
                    index_t m, index_t sx, index_t su, index_t sv) {
   semiring_impl(sr, x, u, v, m, sx, su, sv);
@@ -135,6 +187,5 @@ void semiring_tile(Semiring sr, float* x, const float* u, const float* v,
                    index_t m, index_t sx, index_t su, index_t sv) {
   semiring_impl(sr, x, u, v, m, sx, su, sv);
 }
-#endif
 
 }  // namespace gep::simd

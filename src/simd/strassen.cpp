@@ -3,109 +3,28 @@
 #include <algorithm>
 
 #include "obs/registry.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
-#include "simd/kernels_avx2.hpp"
 #include "simd/microkernel.hpp"
-#include "util/aligned.hpp"
 
 namespace gep::simd {
 namespace {
 
-// --- generalized packed GEMM ----------------------------------------------
+// --- blocking of the Strassen sub-multiplies -------------------------------
 //
-// C_q += alpha * coeff_q * (Σ_s a_s) (Σ_t b_t) over row-major blocks
-// sharing lda / ldb / ldc. Macro blocking mirrors blas::GemmBlocking
-// (mc x kc A blocks in L2, kc x nc B panels in L3); the packing passes
-// form the operand sums, the micro-kernel writeback scatters the
-// product — Strassen's 15 additions ride inside passes the classic
-// path already makes.
-
-// mc and kc are twice the classic path's 128 x 256: multi-source packs
-// and multi-destination writebacks make operand passes the scarce
-// resource (a sub-multiply streams up to 2 quadrants per pack and per
-// k-chunk), so the Strassen macro loop trades micro-panel L1 residency
-// for fewer passes — kc = 512 halves the C writebacks, mc = 256 halves
-// the B-panel sweeps, and the packed A block (256 x 512 doubles = 1 MB)
-// still fits a 2 MB L2. Values picked by a paired sweep on the dev/CI
-// host (see docs/KERNELS.md).
-constexpr index_t kStrassenMc = 256;
-constexpr index_t kStrassenKc = 512;
-constexpr index_t kStrassenNc = 1024;
-
-template <class T>
-void gemm_packed_multi(index_t m, index_t n, index_t k, T alpha,
-                       const PackSrc<T>* as, int na, index_t lda,
-                       const PackSrc<T>* bs, int nb, index_t ldb,
-                       const GemmDest<T>* cs, int nd, index_t ldc) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  const index_t mc = std::min(m, kStrassenMc);
-  const index_t kc = std::min(k, kStrassenKc);
-  const index_t nc = std::min(n, kStrassenNc);
-  T* pa = packing_buffer<T>(
-      0, static_cast<std::size_t>(packed_a_size<T>(mc, kc)));
-  T* pb = packing_buffer<T>(
-      1, static_cast<std::size_t>(packed_b_size<T>(kc, nc)));
-#if GEP_SIMD_X86
-  const bool use_avx2 = active() == Level::Avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-
-  PackSrc<T> ab[kMaxGemmOperands];
-  PackSrc<T> bb[kMaxGemmOperands];
-  GemmDest<T> db[kMaxGemmOperands];
-  for (index_t jc = 0; jc < n; jc += nc) {
-    const index_t ncb = std::min(nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += kc) {
-      const index_t kcb = std::min(kc, k - pc);
-      for (int q = 0; q < nb; ++q) {
-        bb[q] = {bs[q].p + pc * ldb + jc, bs[q].coeff, nullptr};
-      }
-      pack_b_multi(bb, nb, ldb, kcb, ncb, pb);
-      for (index_t ic = 0; ic < m; ic += mc) {
-        const index_t mcb = std::min(mc, m - ic);
-        for (int q = 0; q < na; ++q) {
-          ab[q] = {as[q].p + ic * lda + pc, as[q].coeff,
-                   as[q].inv == nullptr ? nullptr : as[q].inv + pc};
-        }
-        pack_a_multi(ab, na, lda, mcb, kcb, pa);
-        for (index_t jr = 0; jr < ncb; jr += NR) {
-          const index_t nr = std::min(NR, ncb - jr);
-          const T* pbj = pb + (jr / NR) * kcb * NR;
-          for (index_t ir = 0; ir < mcb; ir += MR) {
-            const index_t mr = std::min(MR, mcb - ir);
-            const T* pai = pa + (ir / MR) * kcb * MR;
-            const index_t coff = (ic + ir) * ldc + jc + jr;
-            for (int q = 0; q < nd; ++q) {
-              db[q] = {cs[q].c + coff, cs[q].coeff};
-            }
-#if GEP_SIMD_X86
-            if (use_avx2) {
-              if (mr == MR && nr == NR) {
-                ukr_avx2_multi(kcb, alpha, pai, pbj, db, nd, ldc);
-              } else {
-                ukr_avx2_multi_edge(kcb, alpha, pai, pbj, db, nd, ldc, mr,
-                                    nr);
-              }
-              continue;
-            }
-#endif
-            if (mr == MR && nr == NR) {
-              ukr_scalar_multi(kcb, alpha, pai, pbj, db, nd, ldc);
-            } else {
-              ukr_scalar_multi_edge(kcb, alpha, pai, pbj, db, nd, ldc, mr,
-                                    nr);
-            }
-          }
-        }
-      }
-    }
-  }
-  (void)use_avx2;
-}
+// Each sub-multiply is one gemm_packed call (simd/gemm_leaf.hpp): its
+// packing passes form the operand sums, its micro-kernel writeback
+// scatters the product — Strassen's 15 additions ride inside passes
+// the classic path already makes.
+//
+// kc is twice the classic path's 256: multi-source packs and
+// multi-destination writebacks make operand passes the scarce resource
+// (a sub-multiply streams up to 2 quadrants per pack and per k-chunk),
+// so the Strassen macro loop trades micro-panel L1 residency for fewer
+// passes — kc = 512 halves the C writebacks. mc stays at the classic
+// 128: with 8 x 16 micro-tiles, mc = 256 ran 8–15% slower at n = 1024
+// on both packed levels. Values picked by paired sweeps on a 4-CPU
+// AVX-512 Xeon (see docs/KERNELS.md).
+constexpr PackedBlocking kStrassenBlocking{128, 512, 1024};
 
 // --- one Strassen level ---------------------------------------------------
 //
@@ -192,8 +111,8 @@ void strassen_level(index_t m, index_t n, index_t k, T alpha, const T* a,
       c2[t] = {c + (q.q >> 1) * mh * ldc + (q.q & 1) * nh,
                static_cast<T>(q.sign)};
     }
-    gemm_packed_multi(mh, nh, kh, alpha, a2, mul.na, lda, b2, mul.nb, ldb, c2,
-                      mul.nc, ldc);
+    gemm_packed(mh, nh, kh, alpha, a2, mul.na, lda, b2, mul.nb, ldb, c2,
+                mul.nc, ldc, kStrassenBlocking);
   }
 
   // Dynamic peeling for odd extents: the even core above covers
@@ -203,36 +122,21 @@ void strassen_level(index_t m, index_t n, index_t k, T alpha, const T* a,
   if (kE < k) {  // last k column/row: rank-1 update of the even core
     const PackSrc<T> at = a_src(0, kE, T{1}), bt = b_src(kE, 0, T{1});
     const GemmDest<T> ct{c, T{1}};
-    gemm_packed_multi(mE, nE, k - kE, alpha, &at, 1, lda, &bt, 1, ldb, &ct, 1,
-                      ldc);
+    gemm_packed(mE, nE, k - kE, alpha, &at, 1, lda, &bt, 1, ldb, &ct, 1, ldc,
+                kStrassenBlocking);
   }
   if (nE < n) {  // last column of C, full k
     const PackSrc<T> bt = b_src(0, nE, T{1});
     const GemmDest<T> ct{c + nE, T{1}};
-    gemm_packed_multi(mE, n - nE, k, alpha, &as, 1, lda, &bt, 1, ldb, &ct, 1,
-                      ldc);
+    gemm_packed(mE, n - nE, k, alpha, &as, 1, lda, &bt, 1, ldb, &ct, 1, ldc,
+                kStrassenBlocking);
   }
   if (mE < m) {  // last row of C, full n and k
     const PackSrc<T> at = a_src(mE, 0, T{1});
     const GemmDest<T> ct{c + mE * ldc, T{1}};
-    gemm_packed_multi(m - mE, n, k, alpha, &at, 1, lda, &bs, 1, ldb, &ct, 1,
-                      ldc);
+    gemm_packed(m - mE, n, k, alpha, &at, 1, lda, &bs, 1, ldb, &ct, 1, ldc,
+                kStrassenBlocking);
   }
-}
-
-// Reciprocal vector for the scaled (GE multiplier fold) path: one
-// division per k, identical rounding to pack_a_scaled's hoist.
-template <class T>
-T* reciprocal_buffer(const T* w, index_t sw, index_t k) {
-  thread_local AlignedPtr<T> buf;
-  thread_local std::size_t cap = 0;
-  const auto count = static_cast<std::size_t>(k);
-  if (cap < count) {
-    buf = make_aligned<T>(count);
-    cap = count;
-  }
-  for (index_t p = 0; p < k; ++p) buf[p] = T{1} / w[p * sw + p];
-  return buf.get();
 }
 
 }  // namespace
@@ -257,13 +161,13 @@ void strassen_gemm(index_t m, index_t n, index_t k, float alpha,
 void strassen_gemm_scaled(double* x, const double* u, const double* v,
                           const double* w, index_t m, index_t sx, index_t su,
                           index_t sv, index_t sw) {
-  strassen_level(m, m, m, -1.0, u, su, reciprocal_buffer(w, sw, m), v, sv, x,
+  strassen_level(m, m, m, -1.0, u, su, reciprocals(w, sw, m), v, sv, x,
                  sx);
 }
 void strassen_gemm_scaled(float* x, const float* u, const float* v,
                           const float* w, index_t m, index_t sx, index_t su,
                           index_t sv, index_t sw) {
-  strassen_level(m, m, m, -1.0f, u, su, reciprocal_buffer(w, sw, m), v, sv,
+  strassen_level(m, m, m, -1.0f, u, su, reciprocals(w, sw, m), v, sv,
                  x, sx);
 }
 

@@ -30,8 +30,9 @@ namespace gep::simd {
 
 // The crossover, measured with bench_kernels --tune-strassen: the
 // smallest swept edge from which one Strassen level keeps beating the
-// classic packed path (dgemm_blocked).
-inline constexpr index_t kStrassenMinM = 384;
+// classic packed path (dgemm_blocked) — 768, 896 and 896 in three
+// tuner runs on the 8 x 16 AVX-512 micro-kernel (docs/KERNELS.md).
+inline constexpr index_t kStrassenMinM = 896;
 
 // True when min(m, n, k) >= kStrassenMinM: the routing rule of
 // gemm_tile[_scaled] and blas::dgemm. A false answer counts

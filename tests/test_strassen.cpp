@@ -79,7 +79,7 @@ void classic_gemm(index_t m, index_t n, index_t k, double alpha,
 // --tune-strassen); pin it and the operand cap of one level so a silent
 // change shows up as a test edit.
 TEST(Strassen, PinnedDefaults) {
-  EXPECT_EQ(simd::kStrassenMinM, 384);
+  EXPECT_EQ(simd::kStrassenMinM, 896);
   EXPECT_EQ(simd::kMaxGemmOperands, 2);
 }
 
@@ -249,6 +249,45 @@ TEST(Strassen, GemmTileRoutesThroughStrassen) {
   EXPECT_LT(max_abs_diff(ref, got), 1e-11);
 }
 
+// Both packed levels pack one format and run one per-element FMA chain,
+// so every Strassen entry point is bit-identical between forced Avx2
+// and Avx512: odd extents (dynamic peeling), the scaled GE form, and
+// gemm_tile routed through the level.
+TEST(Strassen, BitIdenticalAcrossPackedLevels) {
+  if (!simd::level_available(simd::Level::Avx512)) {
+    GTEST_SKIP() << "host has no AVX-512F (+ OS zmm state)";
+  }
+  if (simd::forced_scalar_env()) {
+    GTEST_SKIP() << "GEP_FORCE_SCALAR pins dispatch";
+  }
+  auto both = [](const std::vector<double>& init, auto&& run) {
+    std::vector<double> v2 = init, v5 = init;
+    simd::force_level(simd::Level::Avx2);
+    run(v2.data());
+    simd::force_level(simd::Level::Avx512);
+    run(v5.data());
+    simd::clear_forced_level();
+    return bitwise_equal(v2, v5);
+  };
+  const index_t m = 97, n = 130, k = 75;
+  auto a = random_buf(m * k, 1001), b = random_buf(k * n, 1002);
+  EXPECT_TRUE(both(random_buf(m * n, 1003), [&](double* c) {
+    simd::strassen_gemm(m, n, k, -0.5, a.data(), k, b.data(), n, c, n);
+  }));
+  const index_t e = 96;
+  auto u = random_buf(e * e, 1004), v = random_buf(e * e, 1005);
+  Matrix<double> w = dd_matrix(e, 1006);
+  EXPECT_TRUE(both(random_buf(e * e, 1007), [&](double* x) {
+    simd::strassen_gemm_scaled(x, u.data(), v.data(), w.data(), e, e, e, e,
+                               e);
+  }));
+  const index_t t = simd::kStrassenMinM;
+  auto ut = random_buf(t * t, 1008), vt = random_buf(t * t, 1009);
+  EXPECT_TRUE(both(random_buf(t * t, 1010), [&](double* x) {
+    simd::gemm_tile(x, ut.data(), vt.data(), t, t, t, t, 1.0);
+  }));
+}
+
 TEST(Strassen, FallbackCounterTracksDeclines) {
   if (!obs::kEnabled) GTEST_SKIP() << "GEP_OBS disabled";
   const index_t n = 32;
@@ -265,11 +304,11 @@ TEST(Strassen, FallbackCounterTracksDeclines) {
 
 // End-to-end gates: typed I-GEP with Strassen D-kind leaves must still
 // pass the randomized product / residual certificates. A base size of
-// 512 clears kStrassenMinM, and the engagement counter proves the fast
+// 1024 clears kStrassenMinM, and the engagement counter proves the fast
 // path actually ran.
 TEST(Strassen, TypedMatmulWithStrassenLeavesPassesFreivalds) {
-  const index_t n = 1024, base = 512;
-  static_assert(512 >= simd::kStrassenMinM);
+  const index_t n = 2048, base = 1024;
+  static_assert(1024 >= simd::kStrassenMinM);
   Matrix<double> a(n, n), b(n, n);
   SplitMix64 g(901);
   for (index_t i = 0; i < n; ++i) {
@@ -282,20 +321,20 @@ TEST(Strassen, TypedMatmulWithStrassenLeavesPassesFreivalds) {
   const std::uint64_t calls_before =
       obs::counter("kernels.strassen.calls").value();
   apps::multiply_add(c, a, b, apps::Engine::IGep, {base, 1});
-  if (obs::kEnabled && simd::active() == simd::Level::Avx2) {
+  if (obs::kEnabled && simd::active() != simd::Level::Scalar) {
     EXPECT_GT(obs::counter("kernels.strassen.calls").value(), calls_before);
   }
   EXPECT_TRUE(apps::freivalds_check(c, before, a, b));
 }
 
 TEST(Strassen, TypedLuWithStrassenLeavesPassesResidual) {
-  const index_t n = 1024, base = 512;
+  const index_t n = 2048, base = 1024;
   const Matrix<double> a = dd_matrix(n, 902);
   Matrix<double> lu = a;
   const std::uint64_t calls_before =
       obs::counter("kernels.strassen.calls").value();
   apps::lu_decompose(lu, apps::Engine::IGep, {base, 1});
-  if (obs::kEnabled && simd::active() == simd::Level::Avx2) {
+  if (obs::kEnabled && simd::active() != simd::Level::Scalar) {
     EXPECT_GT(obs::counter("kernels.strassen.calls").value(), calls_before);
   }
   EXPECT_LT(lu_residual_sample(a, lu, 16), 1e-9);
